@@ -9,6 +9,7 @@ from .errors import (
     ColonByZeroWarning,
     ExponentOverflowError,
     FClosureError,
+    InternalError,
     ParseError,
     QExponentNotFoundError,
     RingMismatchError,

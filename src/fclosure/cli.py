@@ -2,7 +2,8 @@
 
 Exit codes: 0 when the computed value is produced or the checked property
 holds, 1 when a checked property is false, 2 on operational errors
-(parse failures, exhausted budgets, unstabilized chains).
+(parse failures, exhausted budgets, unstabilized chains), 3 when an internal
+engine invariant failed (a bug, never a verdict on the input).
 
 Ideals given on the command line are read in the quotient ring: the full
 preimage (generators plus the defining relations) is what the engine
@@ -15,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .errors import FClosureError
+from .errors import FClosureError, InternalError
 from .frobenius import frobenius_closure, frobenius_power, frobenius_root, q_exponent
 from .ideals import (
     colon,
@@ -367,6 +368,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _run(args)
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except FClosureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

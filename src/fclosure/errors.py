@@ -55,5 +55,9 @@ class CertificateError(FClosureError):
     """A construction-time membership certificate failed."""
 
 
+class InternalError(FClosureError):
+    """An engine invariant failed; this is a bug, not a property of the input."""
+
+
 class ColonByZeroWarning(UserWarning):
     """Colon by the zero ideal: the unit ideal is returned by convention."""

@@ -22,10 +22,10 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 
-from .config import DEFAULT_CONFIG
 from .errors import (
     BudgetExceededError,
     ExponentOverflowError,
+    InternalError,
     QExponentNotFoundError,
     RingMismatchError,
 )
@@ -60,12 +60,12 @@ class QuotientRing:
     Ideals of R are always handled through their full preimages in S
     (generator lists containing J).  The model is the local ring at the
     irrelevant maximal ideal m = (all variables) of the quotient, so the
-    relations are required to have zero constant term.
+    relations are required to have zero constant term.  Budgets are those
+    of ``ring``.
     """
 
-    def __init__(self, ring, relations, config=None):
+    def __init__(self, ring, relations):
         self.ring = ring
-        self.config = config or DEFAULT_CONFIG
         rels = tuple(r for r in relations if not r.is_zero())
         for r in rels:
             if r.ring != ring:
@@ -73,9 +73,9 @@ class QuotientRing:
             if r.coefficient((0,) * len(ring.variables)):
                 raise ValueError(f"relation has a nonzero constant term: {r}")
         self.J = Ideal(ring, rels)
-        if self.J.is_unit(self.config):
+        if self.J.is_unit():
             raise ValueError("the defining ideal is the unit ideal")
-        self.dimension = krull_dimension(self.J, self.config)
+        self.dimension = krull_dimension(self.J)
 
     @property
     def p(self):
@@ -93,48 +93,45 @@ class QuotientRing:
 
     def reduce(self, f):
         """Canonical representative of f modulo J."""
-        return normal_form(f, self.J, self.config)
+        return normal_form(f, self.J)
 
     def is_regular(self):
-        return self.J.is_zero(self.config)
+        return self.J.is_zero()
 
     def __repr__(self):
         return f"QuotientRing(F_{self.p}[{', '.join(self.ring.variables)}] / ({self.J}))"
 
 
-def _check_e(e, config):
+def _check_e(e, ring):
+    cap = ring.config.frobenius_e_cap
     if e < 0:
         raise ValueError("Frobenius exponent must be non-negative")
-    if e > config.frobenius_e_cap:
-        raise ExponentOverflowError(
-            f"Frobenius exponent {e} exceeds the configured cap {config.frobenius_e_cap}"
-        )
+    if e > cap:
+        raise ExponentOverflowError(f"Frobenius exponent {e} exceeds the configured cap {cap}")
 
 
-def frobenius_power(I, e, config=None):
+def frobenius_power(I, e):
     """The ideal generated by g**(p**e) for the generators g of I.
 
     Generator powers suffice: the Frobenius power of an ideal is generated
     by the q-th powers of any generating set.
     """
-    config = config or DEFAULT_CONFIG
     e = e.e if isinstance(e, FrobeniusExponent) else e
-    _check_e(e, config)
+    _check_e(e, I.ring)
     if e == 0:
         return I
     return Ideal(I.ring, [g.frobenius(e) for g in I.gens])
 
 
-def frobenius_root(I, e, config=None):
+def frobenius_root(I, e):
     """The smallest ideal K with I contained in frobenius_power(K, e).
 
     The root of a principal ideal is generated by the base-p**e digit
     components of its generator, and the root of a sum is the sum of roots.
     Requires a prime coefficient field.
     """
-    config = config or DEFAULT_CONFIG
     e = e.e if isinstance(e, FrobeniusExponent) else e
-    _check_e(e, config)
+    _check_e(e, I.ring)
     if e == 0:
         return I
     comps = []
@@ -172,15 +169,16 @@ def _vec_monic(v, p, order):
     return {t: (inv * c2) % p for t, c2 in v.items()}
 
 
-def _vec_reduce(v, basis, p, order, config):
+def _vec_reduce(v, basis, ring):
     """Fully reduce a module element against basis vectors (all monic)."""
     if not v:
         return v
+    p, order = ring.p, ring.order
     work = dict(v)
     out = {}
     heap = [(tuple(-x for x in _vec_key(order, c, e)), c, e) for (c, e) in work]
     heapq.heapify(heap)
-    max_deg = config.max_poly_degree
+    max_deg = ring.config.max_poly_degree
     while heap:
         _, comp, e = heapq.heappop(heap)
         c = work.get((comp, e))
@@ -215,7 +213,7 @@ def _vec_reduce(v, basis, p, order, config):
     return out
 
 
-def _module_intersection_component(vectors, ring, config):
+def _module_intersection_component(vectors, ring):
     """Groebner computation of N ∩ (S * e_0) for the submodule N spanned by
     ``vectors`` of a free module, under a position-over-term order that
     eliminates every component except 0.
@@ -225,6 +223,7 @@ def _module_intersection_component(vectors, ring, config):
     """
     p = ring.p
     order = ring.order
+    config = ring.config
     G = []
     lts = []
     pending = set()
@@ -245,7 +244,7 @@ def _module_intersection_component(vectors, ring, config):
         key=lambda v: _vec_key(order, *_vec_lt(v, order)),
         reverse=True,
     ):
-        w = _vec_reduce(v, G, p, order, config) if G else dict(v)
+        w = _vec_reduce(v, G, ring) if G else dict(v)
         if not w:
             continue
         w = _vec_monic(w, p, order)
@@ -289,7 +288,7 @@ def _module_intersection_component(vectors, ring, config):
             t = (wc, tuple(a + b for a, b in zip(sj, we)))
             spair[t] = (spair.get(t, 0) - coef) % p
         spair = {t: c for t, c in spair.items() if c}
-        h = _vec_reduce(spair, G, p, order, config)
+        h = _vec_reduce(spair, G, ring)
         if not h:
             continue
         if len(G) >= config.max_basis_size:
@@ -307,17 +306,17 @@ def _module_intersection_component(vectors, ring, config):
     return out
 
 
-def _preimage_step(I, config):
+def _preimage_step(I):
     """{r : r**p in I} for an ideal of the polynomial ring."""
     ring = I.ring
     p = ring.p
-    basis = groebner_basis(I, config)
+    basis = groebner_basis(I)
     if not basis:
         return I
     # fast path: if every digit component of the basis certifies, the root
     # and the preimage coincide
-    root = frobenius_root(Ideal(ring, basis), 1, config)
-    if all(ideal_member(g.frobenius(1), I, config) for g in groebner_basis(root, config)):
+    root = frobenius_root(Ideal(ring, basis), 1)
+    if all(ideal_member(g.frobenius(1), I) for g in groebner_basis(root)):
         return root
     n = len(ring.variables)
     offsets = list(itertools.product(range(p), repeat=n))
@@ -332,26 +331,25 @@ def _preimage_step(I, config):
                 base = tuple(x // p for x in exps)
                 vec[(comp_index[alpha], base)] = c
             vectors.append(vec)
-    gens = _module_intersection_component(vectors, ring, config)
+    gens = _module_intersection_component(vectors, ring)
     return Ideal(ring, gens)
 
 
-def frobenius_preimage(I, e, config=None):
+def frobenius_preimage(I, e):
     """The largest ideal K with frobenius_power(K, e) contained in I,
     i.e. {r : r**(p**e) in I}.  Every generator of the result satisfies
     that membership by construction."""
-    config = config or DEFAULT_CONFIG
     e = e.e if isinstance(e, FrobeniusExponent) else e
-    _check_e(e, config)
+    _check_e(e, I.ring)
     if e == 0:
         return I
     # full-level fast path via the (always larger) Frobenius root
-    root = frobenius_root(Ideal(I.ring, groebner_basis(I, config)), e, config)
-    if all(ideal_member(g.frobenius(e), I, config) for g in groebner_basis(root, config)):
+    root = frobenius_root(Ideal(I.ring, groebner_basis(I)), e)
+    if all(ideal_member(g.frobenius(e), I) for g in groebner_basis(root)):
         return root
     current = I
     for _ in range(e):
-        current = _preimage_step(current, config)
+        current = _preimage_step(current)
     return current
 
 
@@ -381,10 +379,10 @@ class ClosureResult:
     chain: list = field(default_factory=list)
 
 
-def frobenius_closure(a, R, e_max=None, lookahead=None, config=None):
+def frobenius_closure(a, R, e_max=None, lookahead=None):
     """Ascending chain F_e = {r : r**(p**e) in a^[p**e] + J}, stopped after
     ``lookahead`` consecutive equal values or at ``e_max``."""
-    config = config or R.config
+    config = R.ring.config
     e_max = config.closure_e_max if e_max is None else e_max
     lookahead = config.closure_lookahead if lookahead is None else lookahead
     base = ideal_sum(a, R.J)
@@ -392,12 +390,12 @@ def frobenius_closure(a, R, e_max=None, lookahead=None, config=None):
     run = 0
     e_star = None
     for e in range(e_max + 1):
-        stage = ideal_sum(frobenius_power(base, e, config), R.J)
-        F_e = frobenius_preimage(stage, e, config)
+        stage = ideal_sum(frobenius_power(base, e), R.J)
+        F_e = frobenius_preimage(stage, e)
         if chain:
-            if not ideal_contains(F_e, chain[-1], config):
-                raise AssertionError("closure chain failed to ascend")
-            if ideal_equal(F_e, chain[-1], config):
+            if not ideal_contains(F_e, chain[-1]):
+                raise InternalError("closure chain failed to ascend")
+            if ideal_equal(F_e, chain[-1]):
                 run += 1
                 if e_star is None:
                     e_star = e - 1
@@ -410,17 +408,16 @@ def frobenius_closure(a, R, e_max=None, lookahead=None, config=None):
     return ClosureResult(chain[-1], e_star, True, False, e_max, chain)
 
 
-def q_exponent(a, R, e_max=None, closure=None, config=None):
+def q_exponent(a, R, e_max=None, closure=None):
     """The least Q = p**e with (a^F)^[Q] + J = a^[Q] + J.
 
     Scanning upward from e = 0 gives minimality directly; once the powers
     agree at some e they agree at every larger one, because taking p-th
     powers preserves the equality modulo J.
     """
-    config = config or R.config
-    e_max = config.closure_e_max if e_max is None else e_max
+    e_max = R.ring.config.closure_e_max if e_max is None else e_max
     if closure is None:
-        result = frobenius_closure(a, R, e_max=e_max, config=config)
+        result = frobenius_closure(a, R, e_max=e_max)
         if not result.stabilized:
             raise QExponentNotFoundError(
                 f"closure chain did not stabilize within e <= {e_max}", e_max=e_max
@@ -428,9 +425,9 @@ def q_exponent(a, R, e_max=None, closure=None, config=None):
         closure = result.closure
     base = ideal_sum(a, R.J)
     for e in range(e_max + 1):
-        lhs = ideal_sum(frobenius_power(closure, e, config), R.J)
-        rhs = ideal_sum(frobenius_power(base, e, config), R.J)
-        if ideal_equal(lhs, rhs, config):
+        lhs = ideal_sum(frobenius_power(closure, e), R.J)
+        rhs = ideal_sum(frobenius_power(base, e), R.J)
+        if ideal_equal(lhs, rhs):
             return FrobeniusExponent.of(R.p, e)
     raise QExponentNotFoundError(
         f"no exponent e <= {e_max} equalizes the Frobenius powers", e_max=e_max

@@ -39,16 +39,15 @@ class GenFracElem:
         return f"<{self.numerator} / ({dens})>"
 
 
-def _certificate_ideal(seq, r, denominators, config):
+def _certificate_ideal(seq, r, denominators):
     R = seq.R
     base = R.preimage([f**n for f, n in zip(seq.elements[:r], denominators)])
-    return colon(base, Ideal(R.ring, [seq.elements[r]]), config)
+    return colon(base, Ideal(R.ring, [seq.elements[r]]))
 
 
-def make_elem(h, seq, r, denominators=None, config=None):
+def make_elem(h, seq, r, denominators=None):
     """Build a fraction after checking the kernel certificate
     h in ((x_1**n_1, ..., x_r**n_r) + J : x_{r+1}); rejected otherwise."""
-    config = config or seq.R.config
     if not 0 <= r < seq.length:
         raise ValueError(f"fraction length r={r} must satisfy 0 <= r < {seq.length}")
     denominators = (
@@ -57,25 +56,24 @@ def make_elem(h, seq, r, denominators=None, config=None):
     if len(denominators) != r or any(n < 1 for n in denominators):
         raise ValueError("denominator exponents must be positive and of length r")
     h = seq.R.reduce(h)
-    cert = _certificate_ideal(seq, r, denominators, config)
-    if not ideal_member(h, cert, config):
+    cert = _certificate_ideal(seq, r, denominators)
+    if not ideal_member(h, cert):
         raise CertificateError(
             f"kernel certificate failed: {h} is not in the colon ideal ({cert})"
         )
     return GenFracElem(h, seq, r, denominators)
 
 
-def is_zero_in_cohomology(elem, config=None):
+def is_zero_in_cohomology(elem):
     """True iff the fraction lies in the image of the previous complex map,
     i.e. iff the numerator lies in the limit ideal of the denominator
     ideal (after equalizing denominator exponents by scaling the numerator).
 
     Returns None when the limit-ideal chain did not stabilize.
     """
-    config = config or elem.seq.R.config
     R = elem.seq.R
     if elem.r == 0:
-        return ideal_member(elem.numerator, R.J, config)
+        return ideal_member(elem.numerator, R.J)
     n_eq = max(elem.denominators)
     h = elem.numerator
     for f, n in zip(elem.seq.elements[: elem.r], elem.denominators):
@@ -83,24 +81,23 @@ def is_zero_in_cohomology(elem, config=None):
             h = h * f ** (n_eq - n)
     denom_seq = SequenceSpec(R, elem.seq.elements[: elem.r], (n_eq,) * elem.r)
     try:
-        lim, _ = limit_ideal(denom_seq, None, config)
+        lim, _ = limit_ideal(denom_seq)
     except UnstabilizedError:
         return None
-    return ideal_member(h, lim, config)
+    return ideal_member(h, lim)
 
 
-def t_action(elem, e, config=None):
+def t_action(elem, e):
     """Apply the Frobenius action T**e: raise the numerator to the p**e-th
     power and scale the denominator exponents by p**e.  The kernel
     certificate is re-verified."""
-    config = config or elem.seq.R.config
     if e == 0:
         return elem
     q = elem.seq.R.p**e
     h = elem.seq.R.reduce(elem.numerator.frobenius(e))
     dens = tuple(q * n for n in elem.denominators)
-    cert = _certificate_ideal(elem.seq, elem.r, dens, config)
-    if not ideal_member(h, cert, config):
+    cert = _certificate_ideal(elem.seq, elem.r, dens)
+    if not ideal_member(h, cert):
         raise CertificateError(
             "the Frobenius action left the kernel: the colon relation did not "
             "raise to the Frobenius power (is the sequence an unconditioned "
@@ -109,14 +106,13 @@ def t_action(elem, e, config=None):
     return GenFracElem(h, elem.seq, elem.r, dens)
 
 
-def hsl_exponent(elem, e_max, config=None):
+def hsl_exponent(elem, e_max):
     """The minimal e <= e_max with T**e killing the class of ``elem``;
     None when no torsion shows inside the window.  An indeterminate zero
     test (unstabilized limit chain) raises, since minimality would then be
     undecidable."""
-    config = config or elem.seq.R.config
     for e in range(e_max + 1):
-        verdict = is_zero_in_cohomology(t_action(elem, e, config), config)
+        verdict = is_zero_in_cohomology(t_action(elem, e))
         if verdict is None:
             raise UnstabilizedError(
                 f"zero test at e={e} was indeterminate; torsion exponent undecidable"

@@ -3,7 +3,8 @@ colon, intersection, saturation, Krull dimension and radical membership.
 
 Everything is deterministic: generators are sorted canonically, the pair
 queue uses the normal strategy (smallest lcm in the ring order), and ties
-break by input position.  Budgets come from :class:`~fclosure.config.EngineConfig`.
+break by input position.  Budgets come from the ring's
+:class:`~fclosure.config.EngineConfig`.
 """
 
 from __future__ import annotations
@@ -11,8 +12,7 @@ from __future__ import annotations
 import heapq
 import warnings
 
-from .config import DEFAULT_CONFIG
-from .errors import BudgetExceededError, ColonByZeroWarning, RingMismatchError
+from .errors import BudgetExceededError, ColonByZeroWarning, InternalError, RingMismatchError
 from .polyring import Polynomial
 
 
@@ -35,15 +35,15 @@ class Ideal:
         self.gens = tuple(sorted(gens, key=lambda g: g.sort_key(), reverse=True))
         self._basis = None
 
-    def basis(self, config=None):
-        return groebner_basis(self, config)
+    def basis(self):
+        return groebner_basis(self)
 
-    def is_unit(self, config=None):
-        b = self.basis(config)
+    def is_unit(self):
+        b = self.basis()
         return len(b) == 1 and b[0].is_constant()
 
-    def is_zero(self, config=None):
-        return not self.basis(config)
+    def is_zero(self):
+        return not self.basis()
 
     def __eq__(self, other):
         if not isinstance(other, Ideal):
@@ -71,7 +71,7 @@ def ideal_from_text(text, ring):
 # reduction
 
 
-def _reduce_full(f, basis, config):
+def _reduce_full(f, basis):
     """Fully reduce ``f`` against ``basis`` (a sequence of nonzero polynomials).
 
     Divisor choice is the first basis element (in the given order) whose
@@ -89,7 +89,7 @@ def _reduce_full(f, basis, config):
     out = {}
     heap = [(tuple(-v for v in key(e)), e) for e in work]
     heapq.heapify(heap)
-    max_deg = config.max_poly_degree
+    max_deg = ring.config.max_poly_degree
     while heap:
         _, e = heapq.heappop(heap)
         c = work.get(e)
@@ -146,7 +146,7 @@ def _spoly(f, g):
 # Buchberger
 
 
-def groebner_basis(ideal, config=None):
+def groebner_basis(ideal):
     """The unique reduced Groebner basis, cached on the ideal.
 
     Buchberger with the coprime-leading-term and chain criteria, normal
@@ -155,8 +155,8 @@ def groebner_basis(ideal, config=None):
     """
     if ideal._basis is not None:
         return ideal._basis
-    config = config or DEFAULT_CONFIG
     ring = ideal.ring
+    config = ring.config
     key = ring.order.key
 
     G = []
@@ -203,7 +203,7 @@ def groebner_basis(ideal, config=None):
                     break
         if skip:
             continue
-        h = _reduce_full(_spoly(G[i], G[j]), G, config)
+        h = _reduce_full(_spoly(G[i], G[j]), G)
         if h.is_zero():
             continue
         if len(G) >= config.max_basis_size:
@@ -214,12 +214,12 @@ def groebner_basis(ideal, config=None):
         lms.append(h.leading_monomial())
         push_pairs(len(G) - 1)
 
-    basis = _interreduce(G, config)
+    basis = _interreduce(G)
     ideal._basis = basis
     return basis
 
 
-def _interreduce(G, config):
+def _interreduce(G):
     """Minimalize then tail-reduce a Groebner basis into the reduced basis."""
     if not G:
         return ()
@@ -239,10 +239,10 @@ def _interreduce(G, config):
         changed = False
         for i, g in enumerate(kept):
             others = kept[:i] + kept[i + 1 :]
-            r = _monic(_reduce_full(g, others, config)) if others else g
+            r = _monic(_reduce_full(g, others)) if others else g
             if r != g:
                 if r.is_zero():
-                    raise AssertionError("minimal basis element reduced to zero")
+                    raise InternalError("minimal basis element reduced to zero")
                 kept[i] = r
                 changed = True
     kept.sort(key=lambda g: key(g.leading_monomial()), reverse=True)
@@ -253,28 +253,28 @@ def _interreduce(G, config):
 # derived operations
 
 
-def normal_form(f, ideal, config=None):
+def normal_form(f, ideal):
     """The unique remainder of ``f`` modulo the reduced basis of ``ideal``."""
     if f.ring != ideal.ring:
         raise RingMismatchError("polynomial and ideal live in different rings")
-    return _reduce_full(f, groebner_basis(ideal, config), config or DEFAULT_CONFIG)
+    return _reduce_full(f, groebner_basis(ideal))
 
 
-def ideal_member(f, ideal, config=None):
-    return normal_form(f, ideal, config).is_zero()
+def ideal_member(f, ideal):
+    return normal_form(f, ideal).is_zero()
 
 
-def ideal_equal(I, K, config=None):
+def ideal_equal(I, K):
     if I.ring != K.ring:
         raise RingMismatchError("ideals live in different rings")
-    return groebner_basis(I, config) == groebner_basis(K, config)
+    return groebner_basis(I) == groebner_basis(K)
 
 
-def ideal_contains(I, K, config=None):
+def ideal_contains(I, K):
     """True iff K is a subset of I (every generator of K reduces to zero)."""
     if I.ring != K.ring:
         raise RingMismatchError("ideals live in different rings")
-    return all(ideal_member(g, I, config) for g in K.gens)
+    return all(ideal_member(g, I) for g in K.gens)
 
 
 def ideal_sum(*ideals):
@@ -298,7 +298,7 @@ def unit_ideal(ring):
     return Ideal(ring, [ring.one])
 
 
-def intersect(I, K, config=None):
+def intersect(I, K):
     """I intersect K via the auxiliary-variable construction
     (t*I + (1-t)*K, then eliminate t with a block order)."""
     if I.ring != K.ring:
@@ -311,13 +311,13 @@ def intersect(I, K, config=None):
     one_minus_t = big.one - t
     gens = [t * ring.lift(g, big) for g in I.gens]
     gens += [one_minus_t * ring.lift(g, big) for g in K.gens]
-    basis = groebner_basis(Ideal(big, gens), config)
+    basis = groebner_basis(Ideal(big, gens))
     n = len(ring.variables)
     kept = [g for g in basis if all(not any(e[n:]) for e in g._terms)]
     return Ideal(ring, [ring.project(g) for g in kept])
 
 
-def _exact_quotient(h, g, config):
+def _exact_quotient(h, g):
     """The quotient h / g for h in (g); remainder must vanish."""
     ring = h.ring
     p = ring.p
@@ -328,7 +328,7 @@ def _exact_quotient(h, g, config):
     while not rem.is_zero():
         e = rem.leading_monomial()
         if not all(a >= b for a, b in zip(e, lm)):
-            raise AssertionError("exact division left a nonzero remainder")
+            raise InternalError("exact division left a nonzero remainder")
         shift = tuple(a - b for a, b in zip(e, lm))
         factor = (rem.leading_coeff() * lc_inv) % p
         quo[shift] = factor
@@ -336,7 +336,7 @@ def _exact_quotient(h, g, config):
     return ring.poly(quo)
 
 
-def colon(I, K, config=None):
+def colon(I, K):
     """(I : K) = {r : rK in I}.  Colon by the zero ideal returns the unit
     ideal with a warning, by convention."""
     if I.ring != K.ring:
@@ -347,38 +347,38 @@ def colon(I, K, config=None):
         return unit_ideal(ring)
     result = None
     for g in K.gens:
-        meet = intersect(I, Ideal(ring, [g]), config)
-        part = Ideal(ring, [_exact_quotient(h, g, config) for h in meet.gens])
-        result = part if result is None else intersect(result, part, config)
+        meet = intersect(I, Ideal(ring, [g]))
+        part = Ideal(ring, [_exact_quotient(h, g) for h in meet.gens])
+        result = part if result is None else intersect(result, part)
     return result
 
 
-def saturate(I, K, config=None):
+def saturate(I, K):
     """(I : K^infinity) plus the first index s with (I : K^s) = (I : K^(s+1)).
 
     Chain stabilization of iterated colons is genuine: one repeated value
     forces stability for all larger exponents.
     """
-    config = config or DEFAULT_CONFIG
+    cap = I.ring.config.saturation_cap
     if not K.gens:
         warnings.warn("saturation by the zero ideal: returning the unit ideal", ColonByZeroWarning)
         return unit_ideal(I.ring), 0
     current = I
-    for s in range(config.saturation_cap):
-        nxt = colon(current, K, config)
-        if ideal_equal(nxt, current, config):
+    for s in range(cap):
+        nxt = colon(current, K)
+        if ideal_equal(nxt, current):
             return current, s
         current = nxt
     raise BudgetExceededError(
-        f"saturation did not stabilize within {config.saturation_cap} steps", kind="saturation"
+        f"saturation did not stabilize within {cap} steps", kind="saturation"
     )
 
 
-def krull_dimension(I, config=None):
+def krull_dimension(I):
     """Dimension of the quotient by I, computed combinatorially from the
     leading-term ideal (maximal independent variable subsets); -1 for the
     unit ideal."""
-    basis = groebner_basis(I, config)
+    basis = groebner_basis(I)
     n = len(I.ring.variables)
     if not basis:
         return n
@@ -400,7 +400,7 @@ def krull_dimension(I, config=None):
     return best
 
 
-def radical_member(f, I, config=None):
+def radical_member(f, I):
     """True iff f lies in the radical of I (auxiliary-variable trick)."""
     if f.ring != I.ring:
         raise RingMismatchError("polynomial and ideal live in different rings")
@@ -411,4 +411,4 @@ def radical_member(f, I, config=None):
     t = big.var(big.variables[-1])
     gens = [ring.lift(g, big) for g in I.gens]
     gens.append(big.one - t * ring.lift(f, big))
-    return Ideal(big, gens).is_unit(config)
+    return Ideal(big, gens).is_unit()

@@ -107,9 +107,13 @@ def monomial_compare(m1, m2, order):
 
 
 class PolyRing:
-    """F_p[x_1, ..., x_n] with a fixed monomial order."""
+    """F_p[x_1, ..., x_n] with a fixed monomial order.
 
-    __slots__ = ("p", "variables", "order", "config", "_var_index", "_zero", "_one")
+    ``config`` holds the budgets of every computation on the ring's ideals;
+    :meth:`extended` rings inherit it.
+    """
+
+    __slots__ = ("p", "variables", "order", "config", "_var_index")
 
     def __init__(self, p, variables, order="grevlex", config=None):
         if not is_prime(p) or p > 2**31 - 1:
@@ -127,8 +131,6 @@ class PolyRing:
         self.order = order if isinstance(order, MonomialOrder) else MonomialOrder(order)
         self.config = config or DEFAULT_CONFIG
         self._var_index = {name: i for i, name in enumerate(variables)}
-        self._zero = None
-        self._one = None
 
     # -- construction -----------------------------------------------------
 
@@ -148,17 +150,15 @@ class PolyRing:
                 clean[tuple(exps)] = c
         return Polynomial(self, clean)
 
+    # built on each access: a cached value would point back at its ring and
+    # keep every elimination ring alive as cyclic garbage
     @property
     def zero(self):
-        if self._zero is None:
-            self._zero = Polynomial(self, {})
-        return self._zero
+        return Polynomial(self, {})
 
     @property
     def one(self):
-        if self._one is None:
-            self._one = self.constant(1)
-        return self._one
+        return self.constant(1)
 
     def constant(self, c):
         c %= self.p

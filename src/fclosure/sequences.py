@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceededError, RingMismatchError, UnstabilizedError
+from .errors import BudgetExceededError, InternalError, RingMismatchError, UnstabilizedError
 from .ideals import (
     Ideal,
     colon,
@@ -115,55 +115,52 @@ class SequenceSpec:
 # parameter tests
 
 
-def is_system_of_parameters(x, config=None):
+def is_system_of_parameters(x):
     """True iff the sequence has length dim R and generates an ideal primary
     to the irrelevant maximal ideal (every variable lies in its radical)."""
-    config = config or x.R.config
     R = x.R
     if x.length != R.dimension:
         return False
     I = x.partial_ideal(range(1, x.length + 1))
-    return all(radical_member(v, I, config) for v in R.ring.gens())
+    return all(radical_member(v, I) for v in R.ring.gens())
 
 
-def is_subsystem_of_parameters(x, config=None):
+def is_subsystem_of_parameters(x):
     """True iff the sequence extends to a system of parameters, i.e. the
     dimension drops by exactly its length."""
-    config = config or x.R.config
     R = x.R
     if x.length > R.dimension:
         return False
     I = x.partial_ideal(range(1, x.length + 1))
-    return krull_dimension(I, config) == R.dimension - x.length
+    return krull_dimension(I) == R.dimension - x.length
 
 
 # ---------------------------------------------------------------------------
 # d-sequences
 
 
-def _colon_cached(cache, I, g, config):
+def _colon_cached(cache, I, g):
     key = (I, g)
     got = cache.get(key) if cache is not None else None
     if got is None:
-        got = colon(I, Ideal(I.ring, [g]), config)
+        got = colon(I, Ideal(I.ring, [g]))
         if cache is not None:
             cache[key] = got
     return got
 
 
-def is_d_sequence(x, config=None, _cache=None):
+def is_d_sequence(x, _cache=None):
     """Check ((x_1,...,x_j) : x_{j+1} x_k) = ((x_1,...,x_j) : x_k) for all
     0 <= j < k <= l, on the powered elements.  Returns (verdict, violation),
     the violation being the first failing pair (j, k) or None."""
-    config = config or x.R.config
     eff = x.effective()
     l = x.length
     for j in range(l):
         prefix = x.prefix_ideal(j)
         for k in range(j + 1, l + 1):
-            lhs = _colon_cached(_cache, prefix, eff[j] * eff[k - 1], config)
-            rhs = _colon_cached(_cache, prefix, eff[k - 1], config)
-            if not ideal_equal(lhs, rhs, config):
+            lhs = _colon_cached(_cache, prefix, eff[j] * eff[k - 1])
+            rhs = _colon_cached(_cache, prefix, eff[k - 1])
+            if not ideal_equal(lhs, rhs):
                 return False, (j, k)
     return True, None
 
@@ -181,21 +178,21 @@ class UsdVerdict:
     witness: dict | None = None
 
 
-def is_usd_bounded(x, n_max, config=None):
+def is_usd_bounded(x, n_max):
     """Test every permutation of (x_1**m_1, ..., x_l**m_l) for every
     exponent vector in [1, n_max]^l against the d-sequence condition."""
-    config = config or x.R.config
     l = x.length
-    if l > config.usd_length_cap:
+    cap = x.R.ring.config.usd_length_cap
+    if l > cap:
         raise BudgetExceededError(
-            f"sequence length {l} exceeds the permutation cap {config.usd_length_cap}",
+            f"sequence length {l} exceeds the permutation cap {cap}",
             kind="usd",
         )
     cache = {}
     for box in itertools.product(range(1, n_max + 1), repeat=l):
         powered = x.with_exponents(box)
         for perm in itertools.permutations(range(l)):
-            ok, violation = is_d_sequence(powered.permuted(perm), config, _cache=cache)
+            ok, violation = is_d_sequence(powered.permuted(perm), _cache=cache)
             if not ok:
                 return UsdVerdict(
                     False,
@@ -205,18 +202,17 @@ def is_usd_bounded(x, n_max, config=None):
     return UsdVerdict(True, n_max)
 
 
-def is_filter_regular(x, a=None, config=None):
+def is_filter_regular(x, a=None):
     """True iff each colon quotient ((x_1,...,x_{j-1}) : x_j) is contained
     in the saturation of the prefix by ``a`` (default: the maximal ideal)."""
-    config = config or x.R.config
     if a is None:
         a = x.R.maximal_ideal()
     eff = x.effective()
     for j in range(1, x.length + 1):
         prefix = x.prefix_ideal(j - 1)
-        quotient = colon(prefix, Ideal(x.R.ring, [eff[j - 1]]), config)
-        sat, _ = saturate(prefix, a, config)
-        if not ideal_contains(sat, quotient, config):
+        quotient = colon(prefix, Ideal(x.R.ring, [eff[j - 1]]))
+        sat, _ = saturate(prefix, a)
+        if not ideal_contains(sat, quotient):
             return False
     return True
 
@@ -225,20 +221,19 @@ def is_filter_regular(x, a=None, config=None):
 # unmixed parts and limit ideals
 
 
-def unmixed_part(x, subset, config=None):
+def unmixed_part(x, subset):
     """((sum over Lambda of x_i**n_i) + J : sum over the complement of x_i R).
 
     For Lambda = [1, l] the divisor is the zero ideal; the colon-by-zero
     convention applies (unit ideal, with a warning).
     """
-    config = config or x.R.config
     subset = sorted(set(subset))
     base = x.partial_ideal(subset)
     rest = [x.elements[i - 1] for i in range(1, x.length + 1) if i not in subset]
-    return colon(base, Ideal(x.R.ring, rest), config)
+    return colon(base, Ideal(x.R.ring, rest))
 
 
-def limit_ideal(x, subset=None, config=None):
+def limit_ideal(x, subset=None):
     """Stable value of the ascending chain ((sum x_i**(n_i+j)) + J : x_Lambda**j).
 
     Returns (ideal, j_star) where j_star is the first index at which two
@@ -246,51 +241,49 @@ def limit_ideal(x, subset=None, config=None):
     of R.  Raises UnstabilizedError (with the partial chain) at the
     iteration cap.
     """
-    config = config or x.R.config
     subset = sorted(set(subset)) if subset is not None else list(range(1, x.length + 1))
     if not subset:
         return x.R.zero_ideal(), 0
     prod = x.subset_product(subset)
+    cap = x.R.ring.config.limit_chain_cap
     chain = []
-    for j in range(config.limit_chain_cap + 1):
+    for j in range(cap + 1):
         bumped = [x.elements[i - 1] ** (x.exponents[i - 1] + j) for i in subset]
         base = x.R.preimage(bumped)
-        term = base if j == 0 else colon(base, Ideal(x.R.ring, [prod**j]), config)
+        term = base if j == 0 else colon(base, Ideal(x.R.ring, [prod**j]))
         if chain:
-            if not ideal_contains(term, chain[-1], config):
-                raise AssertionError("limit-ideal chain failed to ascend")
-            if ideal_equal(term, chain[-1], config):
+            if not ideal_contains(term, chain[-1]):
+                raise InternalError("limit-ideal chain failed to ascend")
+            if ideal_equal(term, chain[-1]):
                 return chain[-1], j - 1
         chain.append(term)
     raise UnstabilizedError(
-        f"limit-ideal chain did not stabilize within {config.limit_chain_cap} steps",
+        f"limit-ideal chain did not stabilize within {cap} steps",
         partial=chain,
     )
 
 
-def limit_ideal_closed_form(x, config=None):
+def limit_ideal_closed_form(x):
     """Closed form of the limit ideal, valid when the sequence is an
     unconditioned strong d-sequence (the caller certifies that, e.g. via
     ``is_usd_bounded``): (x_1**n_1) + (0 : x_1) for l = 1, and otherwise
     the sum over i of ((sum_{j != i} x_j**n_j) : x_i)."""
-    config = config or x.R.config
     l = x.length
     if l == 1:
-        torsion = colon(x.R.zero_ideal(), Ideal(x.R.ring, [x.elements[0]]), config)
+        torsion = colon(x.R.zero_ideal(), Ideal(x.R.ring, [x.elements[0]]))
         return ideal_sum(x.partial_ideal([1]), torsion)
     parts = []
     for i in range(1, l + 1):
         others = x.partial_ideal([k for k in range(1, l + 1) if k != i])
-        parts.append(colon(others, Ideal(x.R.ring, [x.elements[i - 1]]), config))
+        parts.append(colon(others, Ideal(x.R.ring, [x.elements[i - 1]])))
     return ideal_sum(*parts)
 
 
-def limit_ideal_subset_decomposition(x, config=None):
+def limit_ideal_subset_decomposition(x):
     """Subset decomposition of the limit ideal for l >= 2 under the
     unconditioned-strong-d-sequence hypothesis: the sum over proper subsets
     Lambda of (prod_{i in Lambda} x_i**(n_i - 1)) times the unmixed part of
     (sum_{i in Lambda} x_i R)."""
-    config = config or x.R.config
     l = x.length
     if l < 2:
         raise ValueError("the subset decomposition needs a sequence of length at least 2")
@@ -301,7 +294,7 @@ def limit_ideal_subset_decomposition(x, config=None):
             mult = x.R.ring.one
             for i in subset:
                 mult = mult * x.elements[i - 1] ** (x.exponents[i - 1] - 1)
-            parts.append(scale_ideal(mult, unmixed_part(ones, subset, config)))
+            parts.append(scale_ideal(mult, unmixed_part(ones, subset)))
     return ideal_sum(*parts)
 
 
@@ -365,7 +358,7 @@ ALL_IDENTITIES = (
 )
 
 
-def verify_identity_suite(x, n_max, identities=None, config=None):
+def verify_identity_suite(x, n_max, identities=None):
     """Machine verification of the colon/limit/intersection identities that
     hold for unconditioned strong d-sequences, over every exponent vector
     in [1, n_max]^l and every proper subset.
@@ -373,11 +366,10 @@ def verify_identity_suite(x, n_max, identities=None, config=None):
     The hypothesis itself is only box-checked; when it fails, the suite
     still runs and the report carries ``hypothesis_verified = False``.
     """
-    config = config or x.R.config
     identities = tuple(identities) if identities else ALL_IDENTITIES
     l = x.length
     R = x.R
-    verdict = is_usd_bounded(x, n_max, config)
+    verdict = is_usd_bounded(x, n_max)
     report = SuiteReport(repr(x), n_max, verdict.passed, identities)
     checks = report.checks
 
@@ -386,7 +378,7 @@ def verify_identity_suite(x, n_max, identities=None, config=None):
     def u1(subset):
         key = tuple(subset)
         if key not in unit_unmixed:
-            unit_unmixed[key] = unmixed_part(x.with_exponents((1,) * l), subset, config)
+            unit_unmixed[key] = unmixed_part(x.with_exponents((1,) * l), subset)
         return unit_unmixed[key]
 
     def fail_detail(lhs, rhs):
@@ -404,7 +396,7 @@ def verify_identity_suite(x, n_max, identities=None, config=None):
         def un(subset, xn=xn, un_cache=un_cache):
             key = tuple(subset)
             if key not in un_cache:
-                un_cache[key] = unmixed_part(xn, subset, config)
+                un_cache[key] = unmixed_part(xn, subset)
             return un_cache[key]
 
         for delta in proper_subsets:
@@ -414,7 +406,7 @@ def verify_identity_suite(x, n_max, identities=None, config=None):
                 xj = x.elements[j - 1]
                 if "colon_unmixed" in identities:
                     lhs = un(delta)
-                    mid = colon(base, Ideal(R.ring, [xj]), config)
+                    mid = colon(base, Ideal(R.ring, [xj]))
                     parts = [R.J]
                     for lam_size in range(len(delta) + 1):
                         for lam in itertools.combinations(delta, lam_size):
@@ -423,8 +415,8 @@ def verify_identity_suite(x, n_max, identities=None, config=None):
                                 mult = mult * x.elements[i - 1] ** (n[i - 1] - 1)
                             parts.append(scale_ideal(mult, u1(lam)))
                     sum_form = ideal_sum(*parts)
-                    ok1 = ideal_equal(lhs, mid, config)
-                    ok2 = ideal_equal(mid, sum_form, config)
+                    ok1 = ideal_equal(lhs, mid)
+                    ok2 = ideal_equal(mid, sum_form)
                     checks.append(
                         CheckRecord(
                             "colon_unmixed",
@@ -434,9 +426,9 @@ def verify_identity_suite(x, n_max, identities=None, config=None):
                         )
                     )
                 if "colon_power" in identities:
-                    lhs = colon(base, Ideal(R.ring, [xj ** n[j - 1]]), config)
-                    rhs = colon(base, Ideal(R.ring, [xj]), config)
-                    ok = ideal_equal(lhs, rhs, config)
+                    lhs = colon(base, Ideal(R.ring, [xj ** n[j - 1]]))
+                    rhs = colon(base, Ideal(R.ring, [xj]))
+                    ok = ideal_equal(lhs, rhs)
                     checks.append(
                         CheckRecord(
                             "colon_power",
@@ -448,12 +440,12 @@ def verify_identity_suite(x, n_max, identities=None, config=None):
 
         if "limit_forms" in identities:
             try:
-                lim, _ = limit_ideal(xn, None, config)
-                closed = limit_ideal_closed_form(xn, config)
-                ok1 = ideal_equal(lim, closed, config)
+                lim, _ = limit_ideal(xn)
+                closed = limit_ideal_closed_form(xn)
+                ok1 = ideal_equal(lim, closed)
                 if l >= 2:
                     un_sum = ideal_sum(R.J, *[un([k for k in indices if k != i]) for i in indices])
-                    ok2 = ideal_equal(lim, un_sum, config)
+                    ok2 = ideal_equal(lim, un_sum)
                 else:
                     ok2 = True
                 checks.append(
@@ -469,10 +461,10 @@ def verify_identity_suite(x, n_max, identities=None, config=None):
 
         if "limit_product" in identities:
             try:
-                lim, _ = limit_ideal(xn, None, config)
+                lim, _ = limit_ideal(xn)
                 prod = xn.subset_product(indices)
                 bumped = R.preimage([x.elements[i - 1] ** (n[i - 1] + 1) for i in indices])
-                ok = all(ideal_member(prod * g, bumped, config) for g in lim.basis(config))
+                ok = all(ideal_member(prod * g, bumped) for g in lim.basis())
                 checks.append(
                     CheckRecord(
                         "limit_product",
@@ -486,9 +478,9 @@ def verify_identity_suite(x, n_max, identities=None, config=None):
 
         if "limit_decomposition" in identities and l >= 2:
             try:
-                lim, _ = limit_ideal(xn, None, config)
-                decomp = limit_ideal_subset_decomposition(xn, config)
-                ok = ideal_equal(lim, decomp, config)
+                lim, _ = limit_ideal(xn)
+                decomp = limit_ideal_subset_decomposition(xn)
+                ok = ideal_equal(lim, decomp)
                 checks.append(
                     CheckRecord(
                         "limit_decomposition",
@@ -503,9 +495,9 @@ def verify_identity_suite(x, n_max, identities=None, config=None):
         if "intersection_prefix" in identities:
             for r in range(l):
                 prefix = xn.prefix_ideal(r)
-                quotient = colon(prefix, Ideal(R.ring, [eff[r]]), config)
-                lhs = intersect(quotient, total, config)
-                ok = ideal_equal(lhs, prefix, config)
+                quotient = colon(prefix, Ideal(R.ring, [eff[r]]))
+                lhs = intersect(quotient, total)
+                ok = ideal_equal(lhs, prefix)
                 checks.append(
                     CheckRecord(
                         "intersection_prefix",
@@ -517,9 +509,9 @@ def verify_identity_suite(x, n_max, identities=None, config=None):
 
         if "intersection_unmixed" in identities:
             for lam in proper_subsets:
-                lhs = intersect(un(lam), total, config)
+                lhs = intersect(un(lam), total)
                 rhs = xn.partial_ideal(lam)
-                ok = ideal_equal(lhs, rhs, config)
+                ok = ideal_equal(lhs, rhs)
                 checks.append(
                     CheckRecord(
                         "intersection_unmixed",

@@ -16,7 +16,6 @@ import random
 import warnings
 from dataclasses import dataclass, field
 
-from .config import DEFAULT_CONFIG
 from .errors import (
     BudgetExceededError,
     FClosureError,
@@ -53,10 +52,9 @@ class RingDescription:
     relations: tuple = ()
 
     def build(self, config=None):
-        config = config or DEFAULT_CONFIG
         ring = PolyRing(self.p, self.variables, config=config)
         rels = [ring.parse(text) for text in self.relations]
-        R = QuotientRing(ring, rels, config)
+        R = QuotientRing(ring, rels)
         if R.dimension == 0:
             warnings.warn("the quotient ring has dimension 0", stacklevel=2)
         return R
@@ -184,11 +182,10 @@ def _random_element(ring, rng, monomials, R):
     raise FClosureError("could not draw a nonzero element")
 
 
-def sample_parameter_ideals(R, cfg, config=None):
+def sample_parameter_ideals(R, cfg):
     """Deterministic sample of (sub)systems of parameters: random
     degree-bounded combinations of the variables, filtered through the
     parameter tests.  Identical seeds give identical samples."""
-    config = config or R.config
     if R.dimension <= 0:
         raise ValueError("parameter sampling needs a ring of positive dimension")
     rng = random.Random(cfg.seed)
@@ -202,7 +199,7 @@ def sample_parameter_ideals(R, cfg, config=None):
     attempts = 0
     for j in lengths:
         found = 0
-        budget = config.sample_retry_factor * max(quotas[j], 1)
+        budget = R.ring.config.sample_retry_factor * max(quotas[j], 1)
         tries = 0
         while found < quotas[j]:
             tries += 1
@@ -216,9 +213,9 @@ def sample_parameter_ideals(R, cfg, config=None):
             elems = [_random_element(R.ring, rng, monomials, R) for _ in range(j)]
             seq = SequenceSpec(R, elems)
             ok = (
-                is_system_of_parameters(seq, config)
+                is_system_of_parameters(seq)
                 if j == R.dimension
-                else is_subsystem_of_parameters(seq, config)
+                else is_subsystem_of_parameters(seq)
             )
             if ok:
                 sequences.append(seq)
@@ -257,12 +254,11 @@ class QReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def survey_uniform_q(R, cfg, config=None):
+def survey_uniform_q(R, cfg):
     """Closure and minimal test exponent for each sampled parameter ideal;
     the aggregate maximum Q over certified records is the empirical witness
     for a uniform exponent at the examined scale."""
-    config = config or R.config
-    batch = sample_parameter_ideals(R, cfg, config)
+    batch = sample_parameter_ideals(R, cfg)
     records = []
     histogram = {}
     max_q = None
@@ -275,10 +271,8 @@ def survey_uniform_q(R, cfg, config=None):
             "generators": [str(g) for g in seq.effective()],
         }
         try:
-            closure = frobenius_closure(
-                ideal, R, e_max=cfg.e_max, lookahead=cfg.lookahead, config=config
-            )
-            record["closure"] = [str(g) for g in closure.closure.basis(config)]
+            closure = frobenius_closure(ideal, R, e_max=cfg.e_max, lookahead=cfg.lookahead)
+            record["closure"] = [str(g) for g in closure.closure.basis()]
             record["e_star"] = closure.e_star
             record["certified_lower"] = closure.certified_lower
             record["examined_e"] = closure.examined_e
@@ -286,7 +280,7 @@ def survey_uniform_q(R, cfg, config=None):
                 record["status"] = "unstabilized"
                 failures += 1
             else:
-                Q = q_exponent(ideal, R, e_max=cfg.e_max, closure=closure.closure, config=config)
+                Q = q_exponent(ideal, R, e_max=cfg.e_max, closure=closure.closure)
                 record["status"] = "ok"
                 record["q_exponent_e"] = Q.e
                 record["q_exponent"] = Q.q
@@ -324,7 +318,7 @@ def survey_uniform_q(R, cfg, config=None):
 # suite dispatch
 
 
-def _fixedq_suite(R, x, cfg, config):
+def _fixedq_suite(R, x, cfg):
     """Sample fraction numerators from the unmixed parts of the parameter
     prefixes, measure per-element torsion exponents, and re-test every
     torsion element at the maximum found exponent."""
@@ -333,8 +327,8 @@ def _fixedq_suite(R, x, cfg, config):
     records = []
     elems = []
     for r in range(x.length):
-        un = unmixed_part(ones, range(1, r + 1), config)
-        gens = list(un.basis(config))
+        un = unmixed_part(ones, range(1, r + 1))
+        gens = list(un.basis())
         candidates = list(gens)
         for _ in range(max(cfg.sample_count // max(x.length, 1), 1)):
             f = R.ring.zero
@@ -345,10 +339,10 @@ def _fixedq_suite(R, x, cfg, config):
             h = R.reduce(h)
             if h.is_zero():
                 continue
-            elems.append(make_elem(h, ones, r, config=config))
+            elems.append(make_elem(h, ones, r))
     found = []
     for i, elem in enumerate(elems):
-        e = hsl_exponent(elem, cfg.e_max, config)
+        e = hsl_exponent(elem, cfg.e_max)
         records.append(
             {
                 "index": i,
@@ -362,7 +356,7 @@ def _fixedq_suite(R, x, cfg, config):
     e1 = max((e for _, _, e in found), default=0)
     passed = True
     for i, elem, _e in found:
-        again = is_zero_in_cohomology(t_action(elem, e1, config), config)
+        again = is_zero_in_cohomology(t_action(elem, e1))
         records[i]["retest_at_max"] = bool(again)
         if not again:
             passed = False
@@ -376,28 +370,28 @@ def _fixedq_suite(R, x, cfg, config):
     }
 
 
-def _nil_suite(R, a, nil_gens, cfg, config):
+def _nil_suite(R, a, nil_gens, cfg):
     """Check the nilpotent-reduction bound: with n**[Q'] = 0 in R and
     Q-tilde the test exponent of the image ideal in R/n, the test exponent
     of a is at most Q' * Q-tilde."""
     n_ideal = Ideal(R.ring, nil_gens)
     q_prime_e = None
-    for e in range(config.frobenius_e_cap + 1):
-        if ideal_equal(ideal_sum(frobenius_power(n_ideal, e, config), R.J), R.J, config):
+    for e in range(R.ring.config.frobenius_e_cap + 1):
+        if ideal_equal(ideal_sum(frobenius_power(n_ideal, e), R.J), R.J):
             q_prime_e = e
             break
     if q_prime_e is None:
         raise FClosureError("the given ideal is not nilpotent within the exponent cap")
-    reduced = QuotientRing(R.ring, list(R.J.gens) + list(nil_gens), config)
+    reduced = QuotientRing(R.ring, list(R.J.gens) + list(nil_gens))
     targets = [a] if a is not None else []
     if not targets:
-        batch = sample_parameter_ideals(R, cfg, config)
+        batch = sample_parameter_ideals(R, cfg)
         targets = [R.preimage(seq.effective()) for seq in batch.sequences]
     records = []
     passed = True
     for index, ideal in enumerate(targets):
-        Q = q_exponent(ideal, R, e_max=cfg.e_max, config=config)
-        Qt = q_exponent(reduced.preimage(ideal.gens), reduced, e_max=cfg.e_max, config=config)
+        Q = q_exponent(ideal, R, e_max=cfg.e_max)
+        Qt = q_exponent(reduced.preimage(ideal.gens), reduced, e_max=cfg.e_max)
         bound = R.p**q_prime_e * Qt.q
         ok = Q.q <= bound
         passed = passed and ok
@@ -420,13 +414,12 @@ def _nil_suite(R, a, nil_gens, cfg, config):
     }
 
 
-def run_suite(name, R, x=None, cfg=None, a=None, nil_gens=None, config=None):
+def run_suite(name, R, x=None, cfg=None, a=None, nil_gens=None):
     """Dispatch a verification suite; returns a dict report with a
     ``passed`` key.  ``gy`` runs the full identity suite, ``huneke`` the
     intersection identities, ``br21`` the limit-product and subset
     decomposition identities; ``fixedq`` and ``nil`` are the empirical
     Frobenius checks."""
-    config = config or R.config
     cfg = cfg or SurveyConfig()
     if name in ("gy", "huneke", "br21"):
         if x is None:
@@ -436,7 +429,7 @@ def run_suite(name, R, x=None, cfg=None, a=None, nil_gens=None, config=None):
             "huneke": ("intersection_prefix", "intersection_unmixed"),
             "br21": ("limit_product", "limit_decomposition"),
         }[name]
-        report = verify_identity_suite(x, cfg.n_max, identities=identities, config=config)
+        report = verify_identity_suite(x, cfg.n_max, identities=identities)
         out = report.to_dict()
         out["suite"] = name
         out["passed"] = report.all_passed
@@ -444,12 +437,12 @@ def run_suite(name, R, x=None, cfg=None, a=None, nil_gens=None, config=None):
     if name == "fixedq":
         if x is None:
             raise ValueError("suite 'fixedq' needs a sequence")
-        verdict = is_usd_bounded(x, cfg.n_max, config)
-        out = _fixedq_suite(R, x, cfg, config)
+        verdict = is_usd_bounded(x, cfg.n_max)
+        out = _fixedq_suite(R, x, cfg)
         out["hypothesis_verified"] = verdict.passed
         return out
     if name == "nil":
         if not nil_gens:
             raise ValueError("suite 'nil' needs the nilpotent ideal generators")
-        return _nil_suite(R, a, nil_gens, cfg, config)
+        return _nil_suite(R, a, nil_gens, cfg)
     raise ValueError(f"unknown suite {name!r}")

@@ -109,7 +109,7 @@ def linear_membership_oracle(f, I, degree_margin=2):
     return len(col_polys) not in pivots
 
 
-def kernel_preimage_oracle(I, e, degree, config=None):
+def kernel_preimage_oracle(I, e, degree):
     """{r : r**(p**e) in I} restricted to degree <= ``degree``, by solving
     the linear system NF(sum c_B x**(q B)) = 0 over F_p.
 
@@ -123,7 +123,7 @@ def kernel_preimage_oracle(I, e, degree, config=None):
     nfs = []
     row_support = set()
     for B in cand:
-        w = normal_form(ring.monomial(tuple(q * b for b in B)), I, config)
+        w = normal_form(ring.monomial(tuple(q * b for b in B)), I)
         nfs.append(w)
         row_support.update(w._terms)
     row_index = {t: i for i, t in enumerate(sorted(row_support))}
@@ -144,7 +144,7 @@ def kernel_preimage_oracle(I, e, degree, config=None):
     return Ideal(ring, basis)
 
 
-def closure_chain_oracle(a, R, e_max, degree, config=None):
+def closure_chain_oracle(a, R, e_max, degree):
     """Brute-force closure chain: each stage is the degree-bounded kernel
     preimage of a^[p**e] + J, with stabilization detected by ideal equality.
 
@@ -156,12 +156,12 @@ def closure_chain_oracle(a, R, e_max, degree, config=None):
     base = ideal_sum(a, R.J)
     chain = []
     for e in range(e_max + 1):
-        stage = ideal_sum(frobenius_power(base, e, config), R.J)
-        chain.append(kernel_preimage_oracle(stage, e, degree, config))
+        stage = ideal_sum(frobenius_power(base, e), R.J)
+        chain.append(kernel_preimage_oracle(stage, e, degree))
     return chain
 
 
-def q_exponent_oracle(a, closure, R, e_max, config=None):
+def q_exponent_oracle(a, closure, R, e_max):
     """Scan for the least e with (closure)^[p**e] + J = a^[p**e] + J using
     only normal-form membership."""
     from fclosure.frobenius import frobenius_power
@@ -169,8 +169,8 @@ def q_exponent_oracle(a, closure, R, e_max, config=None):
 
     base = ideal_sum(a, R.J)
     for e in range(e_max + 1):
-        lhs = ideal_sum(frobenius_power(closure, e, config), R.J)
-        rhs = ideal_sum(frobenius_power(base, e, config), R.J)
-        if ideal_equal(lhs, rhs, config):
+        lhs = ideal_sum(frobenius_power(closure, e), R.J)
+        rhs = ideal_sum(frobenius_power(base, e), R.J)
+        if ideal_equal(lhs, rhs):
             return e
     return None

@@ -25,6 +25,7 @@ from fclosure.ideals import (
     unit_ideal,
 )
 from fclosure.ideals import _reduce_full, _spoly
+from fclosure.frobenius import QuotientRing
 from fclosure.polyring import PolyRing
 
 from helpers import linear_membership_oracle, random_ideal, random_nonzero_poly
@@ -61,15 +62,43 @@ def test_groebner_twisted_cubic_lex():
 def test_buchberger_certificate_random():
     # every s-polynomial of the returned basis reduces to zero
     rng = random.Random(2024)
-    cfg = EngineConfig()
     for p in (2, 3, 5):
-        ring = PolyRing(p, ["x", "y", "z"])
+        ring = PolyRing(p, ["x", "y", "z"], config=EngineConfig())
         for _ in range(8):
             I = random_ideal(rng, ring, max_gens=3, max_degree=3, max_terms=3)
             basis = groebner_basis(I)
             for i in range(len(basis)):
                 for j in range(i + 1, len(basis)):
-                    assert _reduce_full(_spoly(basis[i], basis[j]), basis, cfg).is_zero()
+                    assert _reduce_full(_spoly(basis[i], basis[j]), basis).is_zero()
+
+
+def test_groebner_matches_sympy_oracle():
+    # reduced grevlex bases agree with sympy's, an independent implementation
+    sympy = pytest.importorskip("sympy")
+    names = ["x", "y", "z"]
+    syms = sympy.symbols(names)
+    rng = random.Random(20261018)
+    cases = 0
+    for p in (2, 3, 5, 7):
+        ring = PolyRing(p, names)
+        for i in range(15):
+            # alternate homogeneous ideals (never the unit ideal) with affine ones
+            gens = [
+                random_nonzero_poly(rng, ring, max_degree=3, max_terms=3, homogeneous=i % 2 == 0)
+                for _ in range(3)
+            ]
+            I = Ideal(ring, gens)
+            exprs = [
+                sum(c * sympy.prod(s**k for s, k in zip(syms, e)) for e, c in g._terms.items())
+                for g in I.gens
+            ]
+            theirs = sympy.groebner(exprs, *syms, modulus=p, order="grevlex")
+            expected = {
+                frozenset((e, int(c) % p) for e, c in g.terms()) for g in theirs.polys
+            }
+            assert {frozenset(g._terms.items()) for g in groebner_basis(I)} == expected
+            cases += 1
+    assert cases == 60
 
 
 def test_reduced_basis_is_canonical(R5):
@@ -230,11 +259,27 @@ def test_radical_member_examples(R5, R4):
 
 
 def test_budget_is_reported():
-    ring = PolyRing(3, ["x", "y", "z"])
-    tight = EngineConfig(max_pairs=1, max_basis_size=2)
+    ring = PolyRing(3, ["x", "y", "z"], config=EngineConfig(max_pairs=1, max_basis_size=2))
     I = ideal_from_text("x^2 + y*z; y^2 + x*z; z^2 + x*y", ring)
     with pytest.raises(BudgetExceededError):
-        groebner_basis(I, tight)
+        groebner_basis(I)
+
+
+def test_ring_budget_applies_to_every_operation():
+    # the budget is set on the ring alone; equality, elimination rings and
+    # quotient-ring construction must all honour it
+    ring = PolyRing(5, "xyz", config=EngineConfig(max_pairs=1))
+    rels = "x*y - z^2; y^2 - x*z; x^2 - y*z"
+    I = ideal_from_text(rels + "; x^3 + y^3 + z^3", ring)
+    K = ideal_from_text(rels, ring)
+    with pytest.raises(BudgetExceededError):
+        groebner_basis(I)
+    with pytest.raises(BudgetExceededError):
+        _ = I == K
+    with pytest.raises(BudgetExceededError):
+        intersect(I, Ideal(ring, [ring.var("x")]))
+    with pytest.raises(BudgetExceededError):
+        QuotientRing(ring, K.gens)
 
 
 def test_ring_mismatch_is_rejected(R5, R4):

@@ -97,12 +97,13 @@ def test_usd_verdict_is_permutation_invariant(TW):
     assert is_usd_bounded(fwd, 2).passed == is_usd_bounded(rev, 2).passed
 
 
-def test_usd_length_cap(REG):
+def test_usd_length_cap():
     from fclosure.config import EngineConfig
 
-    seq = SequenceSpec(REG, list(REG.ring.gens()))
+    capped = builtin_ring("REG", p=5, config=EngineConfig(usd_length_cap=2))
+    seq = SequenceSpec(capped, list(capped.ring.gens()))
     with pytest.raises(BudgetExceededError):
-        is_usd_bounded(seq, 2, EngineConfig(usd_length_cap=2))
+        is_usd_bounded(seq, 2)
 
 
 def test_filter_regular_examples(TW, REG):

@@ -227,6 +227,15 @@ def test_cli_operational_errors(capsys):
     capsys.readouterr()
 
 
+def test_cli_internal_error_exit_code(capsys, monkeypatch):
+    # a broken engine invariant is a bug, never "property false" (exit 1)
+    import fclosure.frobenius
+
+    monkeypatch.setattr(fclosure.frobenius, "ideal_contains", lambda I, K: False)
+    assert main(["fclosure", "--ring", "NILLINE", "--ideal", "y"]) == 3
+    assert "internal error" in capsys.readouterr().err
+
+
 def test_cli_ops(capsys):
     assert main(["colon", "--ring", "TWOPLANES", "--ideal", "0", "--by", "x"]) == 0
     assert capsys.readouterr().out.strip() == "z; w"
