@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import warnings
+from itertools import combinations
 
 from .errors import BudgetExceededError, ColonByZeroWarning, InternalError, RingMismatchError
 from .polyring import Polynomial
@@ -388,16 +389,13 @@ def krull_dimension(I):
         if not sup:
             return -1  # unit ideal
         supports.append(sup)
-    best = 0
     # scan subsets largest-first so the first independent one wins
-    from itertools import combinations
-
     for size in range(n, 0, -1):
         for combo in combinations(range(n), size):
             u = set(combo)
             if all(not sup <= u for sup in supports):
                 return size
-    return best
+    return 0
 
 
 def radical_member(f, I):

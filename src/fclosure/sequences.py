@@ -12,7 +12,9 @@ the defining ideal J as a preimage.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, InternalError, RingMismatchError, UnstabilizedError
@@ -139,30 +141,29 @@ def is_subsystem_of_parameters(x):
 # d-sequences
 
 
-def _colon_cached(cache, I, g):
-    key = (I, g)
-    got = cache.get(key) if cache is not None else None
-    if got is None:
-        got = colon(I, Ideal(I.ring, [g]))
-        if cache is not None:
-            cache[key] = got
-    return got
+def _colon_by(I, g):
+    return colon(I, Ideal(I.ring, [g]))
 
 
-def is_d_sequence(x, _cache=None):
-    """Check ((x_1,...,x_j) : x_{j+1} x_k) = ((x_1,...,x_j) : x_k) for all
-    0 <= j < k <= l, on the powered elements.  Returns (verdict, violation),
-    the violation being the first failing pair (j, k) or None."""
+def _d_sequence_violation(x, colon_by):
+    """The first pair (j, k) violating the d-sequence condition, or None;
+    ``colon_by(I, g)`` computes (I : g)."""
     eff = x.effective()
     l = x.length
     for j in range(l):
         prefix = x.prefix_ideal(j)
         for k in range(j + 1, l + 1):
-            lhs = _colon_cached(_cache, prefix, eff[j] * eff[k - 1])
-            rhs = _colon_cached(_cache, prefix, eff[k - 1])
-            if not ideal_equal(lhs, rhs):
-                return False, (j, k)
-    return True, None
+            if not ideal_equal(colon_by(prefix, eff[j] * eff[k - 1]), colon_by(prefix, eff[k - 1])):
+                return j, k
+    return None
+
+
+def is_d_sequence(x):
+    """Check ((x_1,...,x_j) : x_{j+1} x_k) = ((x_1,...,x_j) : x_k) for all
+    0 <= j < k <= l, on the powered elements.  Returns (verdict, violation),
+    the violation being the first failing pair (j, k) or None."""
+    violation = _d_sequence_violation(x, _colon_by)
+    return violation is None, violation
 
 
 @dataclass
@@ -188,12 +189,12 @@ def is_usd_bounded(x, n_max):
             f"sequence length {l} exceeds the permutation cap {cap}",
             kind="usd",
         )
-    cache = {}
+    colon_by = functools.cache(_colon_by)  # shared by every exponent vector and permutation
     for box in itertools.product(range(1, n_max + 1), repeat=l):
         powered = x.with_exponents(box)
         for perm in itertools.permutations(range(l)):
-            ok, violation = is_d_sequence(powered.permuted(perm), _cache=cache)
-            if not ok:
+            violation = _d_sequence_violation(powered.permuted(perm), colon_by)
+            if violation is not None:
                 return UsdVerdict(
                     False,
                     n_max,
@@ -288,13 +289,22 @@ def limit_ideal_subset_decomposition(x):
     if l < 2:
         raise ValueError("the subset decomposition needs a sequence of length at least 2")
     ones = x.with_exponents((1,) * l)
+    return _subset_sum(x, _subsets(range(1, l + 1), l - 1), functools.partial(unmixed_part, ones))
+
+
+def _subsets(items, max_size):
+    """The subsets of ``items`` with at most ``max_size`` elements, by size."""
+    return [c for size in range(max_size + 1) for c in itertools.combinations(items, size)]
+
+
+def _subset_sum(x, subsets, unmixed):
+    """J + the sum over Lambda in ``subsets`` of x_Lambda**(n - 1) * U(Lambda),
+    the exponents n_i taken from ``x`` and U(Lambda) = ``unmixed(Lambda)``."""
     parts = [x.R.J]
-    for size in range(l):
-        for subset in itertools.combinations(range(1, l + 1), size):
-            mult = x.R.ring.one
-            for i in subset:
-                mult = mult * x.elements[i - 1] ** (x.exponents[i - 1] - 1)
-            parts.append(scale_ideal(mult, unmixed_part(ones, subset)))
+    for subset in subsets:
+        powers = (x.elements[i - 1] ** (x.exponents[i - 1] - 1) for i in subset)
+        mult = math.prod(powers, start=x.R.ring.one)
+        parts.append(scale_ideal(mult, unmixed(subset)))
     return ideal_sum(*parts)
 
 
@@ -373,152 +383,79 @@ def verify_identity_suite(x, n_max, identities=None):
     report = SuiteReport(repr(x), n_max, verdict.passed, identities)
     checks = report.checks
 
-    unit_unmixed = {}
-
-    def u1(subset):
-        key = tuple(subset)
-        if key not in unit_unmixed:
-            unit_unmixed[key] = unmixed_part(x.with_exponents((1,) * l), subset)
-        return unit_unmixed[key]
-
     def fail_detail(lhs, rhs):
         return f"lhs = ({lhs}); rhs = ({rhs})"
 
+    def check(identity, params, pairs):
+        """Record a check that passes iff every (lhs, rhs) pair is equal;
+        every pair is compared, and the first unequal one gives the detail."""
+        unequal = [pair for pair in pairs if not ideal_equal(*pair)]
+        detail = fail_detail(*unequal[0]) if unequal else ""
+        checks.append(CheckRecord(identity, params, not unequal, detail))
+
+    unit_unmixed = functools.cache(functools.partial(unmixed_part, x.with_exponents((1,) * l)))
+    limit_identities = [
+        name
+        for name in ("limit_forms", "limit_product", "limit_decomposition")
+        if name in identities and (l >= 2 or name != "limit_decomposition")
+    ]
     indices = list(range(1, l + 1))
-    proper_subsets = [c for size in range(l) for c in itertools.combinations(indices, size)]
+    proper_subsets = _subsets(indices, l - 1)
 
     for n in itertools.product(range(1, n_max + 1), repeat=l):
         xn = x.with_exponents(n)
         eff = xn.effective()
         total = xn.partial_ideal(indices)
-        un_cache = {}
+        un = functools.cache(functools.partial(unmixed_part, xn))
 
-        def un(subset, xn=xn, un_cache=un_cache):
-            key = tuple(subset)
-            if key not in un_cache:
-                un_cache[key] = unmixed_part(xn, subset)
-            return un_cache[key]
+        if "colon_unmixed" in identities or "colon_power" in identities:
+            for delta in proper_subsets:
+                base = xn.partial_ideal(delta)
+                for j in [j for j in indices if j not in delta]:
+                    params = {"n": n, "delta": delta, "j": j}
+                    by_xj = colon(base, Ideal(R.ring, [x.elements[j - 1]]))
+                    if "colon_unmixed" in identities:
+                        sum_form = _subset_sum(xn, _subsets(delta, len(delta)), unit_unmixed)
+                        check("colon_unmixed", params, [(un(delta), by_xj), (by_xj, sum_form)])
+                    if "colon_power" in identities:
+                        power = Ideal(R.ring, [eff[j - 1]])
+                        by_power = colon(base, power) if n[j - 1] > 1 else by_xj
+                        check("colon_power", params, [(by_power, by_xj)])
 
-        for delta in proper_subsets:
-            outside = [j for j in indices if j not in delta]
-            base = xn.partial_ideal(delta)
-            for j in outside:
-                xj = x.elements[j - 1]
-                if "colon_unmixed" in identities:
-                    lhs = un(delta)
-                    mid = colon(base, Ideal(R.ring, [xj]))
-                    parts = [R.J]
-                    for lam_size in range(len(delta) + 1):
-                        for lam in itertools.combinations(delta, lam_size):
-                            mult = R.ring.one
-                            for i in lam:
-                                mult = mult * x.elements[i - 1] ** (n[i - 1] - 1)
-                            parts.append(scale_ideal(mult, u1(lam)))
-                    sum_form = ideal_sum(*parts)
-                    ok1 = ideal_equal(lhs, mid)
-                    ok2 = ideal_equal(mid, sum_form)
-                    checks.append(
-                        CheckRecord(
-                            "colon_unmixed",
-                            {"n": n, "delta": delta, "j": j},
-                            ok1 and ok2,
-                            "" if ok1 and ok2 else fail_detail(lhs, mid if not ok1 else sum_form),
-                        )
-                    )
-                if "colon_power" in identities:
-                    lhs = colon(base, Ideal(R.ring, [xj ** n[j - 1]]))
-                    rhs = colon(base, Ideal(R.ring, [xj]))
-                    ok = ideal_equal(lhs, rhs)
-                    checks.append(
-                        CheckRecord(
-                            "colon_power",
-                            {"n": n, "delta": delta, "j": j},
-                            ok,
-                            "" if ok else fail_detail(lhs, rhs),
-                        )
-                    )
-
-        if "limit_forms" in identities:
+        if limit_identities:
             try:
                 lim, _ = limit_ideal(xn)
-                closed = limit_ideal_closed_form(xn)
-                ok1 = ideal_equal(lim, closed)
-                if l >= 2:
-                    un_sum = ideal_sum(R.J, *[un([k for k in indices if k != i]) for i in indices])
-                    ok2 = ideal_equal(lim, un_sum)
-                else:
-                    ok2 = True
-                checks.append(
-                    CheckRecord(
-                        "limit_forms",
-                        {"n": n},
-                        ok1 and ok2,
-                        "" if ok1 and ok2 else fail_detail(lim, closed),
-                    )
-                )
             except UnstabilizedError as exc:
-                checks.append(CheckRecord("limit_forms", {"n": n}, False, str(exc)))
-
-        if "limit_product" in identities:
-            try:
-                lim, _ = limit_ideal(xn)
-                prod = xn.subset_product(indices)
-                bumped = R.preimage([x.elements[i - 1] ** (n[i - 1] + 1) for i in indices])
-                ok = all(ideal_member(prod * g, bumped) for g in lim.basis())
-                checks.append(
-                    CheckRecord(
-                        "limit_product",
-                        {"n": n},
-                        ok,
-                        "" if ok else fail_detail(scale_ideal(prod, lim), bumped),
-                    )
-                )
-            except UnstabilizedError as exc:
-                checks.append(CheckRecord("limit_product", {"n": n}, False, str(exc)))
-
-        if "limit_decomposition" in identities and l >= 2:
-            try:
-                lim, _ = limit_ideal(xn)
-                decomp = limit_ideal_subset_decomposition(xn)
-                ok = ideal_equal(lim, decomp)
-                checks.append(
-                    CheckRecord(
-                        "limit_decomposition",
-                        {"n": n},
-                        ok,
-                        "" if ok else fail_detail(lim, decomp),
-                    )
-                )
-            except UnstabilizedError as exc:
-                checks.append(CheckRecord("limit_decomposition", {"n": n}, False, str(exc)))
+                for name in limit_identities:
+                    checks.append(CheckRecord(name, {"n": n}, False, str(exc)))
+            else:
+                if "limit_forms" in identities:
+                    pairs = [(lim, limit_ideal_closed_form(xn))]
+                    if l >= 2:
+                        others = [un(tuple(k for k in indices if k != i)) for i in indices]
+                        pairs.append((lim, ideal_sum(R.J, *others)))
+                    check("limit_forms", {"n": n}, pairs)
+                if "limit_product" in identities:
+                    prod = xn.subset_product(indices)
+                    bumped = R.preimage([x.elements[i - 1] ** (n[i - 1] + 1) for i in indices])
+                    ok = all(ideal_member(prod * g, bumped) for g in lim.basis())
+                    detail = "" if ok else fail_detail(scale_ideal(prod, lim), bumped)
+                    checks.append(CheckRecord("limit_product", {"n": n}, ok, detail))
+                if "limit_decomposition" in limit_identities:
+                    decomp = limit_ideal_subset_decomposition(xn)
+                    check("limit_decomposition", {"n": n}, [(lim, decomp)])
 
         if "intersection_prefix" in identities:
             for r in range(l):
                 prefix = xn.prefix_ideal(r)
                 quotient = colon(prefix, Ideal(R.ring, [eff[r]]))
                 lhs = intersect(quotient, total)
-                ok = ideal_equal(lhs, prefix)
-                checks.append(
-                    CheckRecord(
-                        "intersection_prefix",
-                        {"n": n, "r": r},
-                        ok,
-                        "" if ok else fail_detail(lhs, prefix),
-                    )
-                )
+                check("intersection_prefix", {"n": n, "r": r}, [(lhs, prefix)])
 
         if "intersection_unmixed" in identities:
             for lam in proper_subsets:
                 lhs = intersect(un(lam), total)
                 rhs = xn.partial_ideal(lam)
-                ok = ideal_equal(lhs, rhs)
-                checks.append(
-                    CheckRecord(
-                        "intersection_unmixed",
-                        {"n": n, "lambda": lam},
-                        ok,
-                        "" if ok else fail_detail(lhs, rhs),
-                    )
-                )
+                check("intersection_unmixed", {"n": n, "lambda": lam}, [(lhs, rhs)])
 
     return report

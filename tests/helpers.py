@@ -51,21 +51,18 @@ def _row_reduce_mod_p(M, p):
     r = 0
     pivots = []
     for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if M[i, c]:
-                pivot = i
-                break
-        if pivot is None:
+        below = np.flatnonzero(M[r:, c])
+        if not below.size:
             continue
+        pivot = r + below[0]
         if pivot != r:
             M[[r, pivot]] = M[[pivot, r]]
         inv = pow(int(M[r, c]), p - 2, p)
-        M[r] = (M[r] * inv) % p
-        column = M[:, c].copy()
-        column[r] = 0
-        M -= np.outer(column, M[r])
-        M %= p
+        # rows r and below are zero left of column c, so only columns >= c change
+        M[r, c:] = (M[r, c:] * inv) % p
+        hit = np.flatnonzero(M[:, c])
+        hit = hit[hit != r]
+        M[hit, c:] = (M[hit, c:] - np.outer(M[hit, c], M[r, c:])) % p
         pivots.append(c)
         r += 1
         if r == rows:

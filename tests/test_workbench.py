@@ -1,7 +1,12 @@
 """Ring files, built-ins, samplers, the uniform-Q survey, suite dispatch,
 and the command-line interface."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -219,6 +224,35 @@ def test_cli_verify_and_survey(capsys):
     )
     data = json.loads(capsys.readouterr().out)
     assert data["aggregate"]["max_q"] == 1
+
+
+@pytest.mark.parametrize(
+    "seq, nmax, exit_code, n_checks, n_failed, digest",
+    [
+        ("x + z; y + w", "2", 0, 64, 0, "8b3f9e2538a5bd1615d19ca8d764232d051691e6b354042cb831368177e50cbf"),
+        ("x; z", "1", 1, 16, 5, "eac25ed5903713a76f054fe8476703dd015066285a4743b40c410688982513b5"),
+    ],
+    ids=["passing", "failing"],
+)
+def test_verify_report_identical_across_hash_seeds(
+    seq, nmax, exit_code, n_checks, n_failed, digest
+):
+    # the digest is the SHA-256 of the report without its final newline
+    src = Path(__file__).resolve().parent.parent / "src"
+    cmd = [sys.executable, "-m", "fclosure.cli", "verify", "gy", "--json"]
+    cmd += ["--ring", "TWOPLANES", "--seq", seq, "--nmax", nmax]
+    outputs = set()
+    for hash_seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
+        done = subprocess.run(cmd, env=env, capture_output=True, timeout=300)
+        assert done.returncode == exit_code, done.stderr.decode()
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
+    out = outputs.pop()
+    checks = json.loads(out)["checks"]
+    assert (len(checks), sum(not c["passed"] for c in checks)) == (n_checks, n_failed)
+    assert out.endswith(b"\n")
+    assert hashlib.sha256(out[:-1]).hexdigest() == digest
 
 
 def test_cli_operational_errors(capsys):
