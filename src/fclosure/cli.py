@@ -25,6 +25,7 @@ from .ideals import (
     ideal_sum,
     intersect,
     krull_dimension,
+    memo_scope,
     normal_form,
     saturate,
 )
@@ -172,6 +173,7 @@ def build_parser():
     return parser
 
 
+@memo_scope
 def _run(args):
     R = resolve_ring(args.ring, args.char)
 
@@ -360,7 +362,7 @@ def _run(args):
                 print(line)
         return 0 if agg["indeterminate"] == 0 else 2
 
-    raise AssertionError(f"unhandled command {args.command}")
+    raise InternalError(f"unhandled command {args.command}")
 
 
 def main(argv=None):

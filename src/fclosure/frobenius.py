@@ -37,6 +37,7 @@ from .ideals import (
     ideal_member,
     ideal_sum,
     krull_dimension,
+    memo_scope,
     normal_form,
 )
 from .polyring import Polynomial, frobenius_decompose
@@ -379,6 +380,7 @@ class ClosureResult:
     chain: list = field(default_factory=list)
 
 
+@memo_scope
 def frobenius_closure(a, R, e_max=None, lookahead=None):
     """Ascending chain F_e = {r : r**(p**e) in a^[p**e] + J}, stopped after
     ``lookahead`` consecutive equal values or at ``e_max``."""
@@ -408,6 +410,7 @@ def frobenius_closure(a, R, e_max=None, lookahead=None):
     return ClosureResult(chain[-1], e_star, True, False, e_max, chain)
 
 
+@memo_scope
 def q_exponent(a, R, e_max=None, closure=None):
     """The least Q = p**e with (a^F)^[Q] + J = a^[Q] + J.
 

@@ -5,16 +5,86 @@ Everything is deterministic: generators are sorted canonically, the pair
 queue uses the normal strategy (smallest lcm in the ring order), and ties
 break by input position.  Budgets come from the ring's
 :class:`~fclosure.config.EngineConfig`.
+
+Inside one call of an entry point marked :func:`memo_scope`, reduced bases
+(of rings without auxiliary variables) and intersections are memoized on
+the ring and the generators, so each distinct one is computed once; the
+memo is dropped when that call returns or raises.
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import heapq
 import warnings
 from itertools import combinations
 
 from .errors import BudgetExceededError, ColonByZeroWarning, InternalError, RingMismatchError
-from .polyring import Polynomial
+from .polyring import BlockOrder, Polynomial
+
+# the memo of the running entry-point call, or None outside every call
+_MEMO = contextvars.ContextVar("fclosure_memo", default=None)
+
+
+def memo_scope(fn):
+    """Run ``fn`` with a fresh memo unless a memo is already active, and
+    drop it when the outermost call returns or raises.  Results are exact,
+    so the memo holds only finished results and is keyed without budgets."""
+
+    @functools.wraps(fn)
+    def scoped(*args, **kwargs):
+        if _MEMO.get() is not None:
+            return fn(*args, **kwargs)
+        token = _MEMO.set({})
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _MEMO.reset(token)
+
+    return scoped
+
+
+def _encode(polys):
+    """Polynomials as one flat int tuple: per polynomial its term count,
+    then each term's exponents and coefficient, descending in the order."""
+    out = []
+    for f in polys:
+        terms = f.terms_sorted()
+        out.append(len(terms))
+        for exps, c in terms:
+            out.extend(exps)
+            out.append(c)
+    return tuple(out)
+
+
+def _decode(ring, code):
+    """The polynomials of ``ring`` that :func:`_encode` flattened to ``code``."""
+    n = len(ring.variables)
+    polys = []
+    i = 0
+    while i < len(code):
+        count = code[i]
+        i += 1
+        terms = []
+        for _ in range(count):
+            terms.append((code[i : i + n], code[i + n]))
+            i += n + 1
+        f = Polynomial(ring, dict(terms))
+        f._sorted = terms
+        polys.append(f)
+    return tuple(polys)
+
+
+def _memoized(memo, key, ring, compute):
+    """The polynomials ``compute()`` returns, kept in ``memo`` under ``key``
+    as a flat int tuple; nothing is kept when ``compute`` raises."""
+    code = memo.get(key)
+    if code is not None:
+        return _decode(ring, code)
+    polys = compute()
+    memo[key] = _encode(polys)
+    return polys
 
 
 class Ideal:
@@ -148,14 +218,27 @@ def _spoly(f, g):
 
 
 def groebner_basis(ideal):
-    """The unique reduced Groebner basis, cached on the ideal.
+    """The unique reduced Groebner basis, cached on the ideal and, inside a
+    :func:`memo_scope` call, on the ring and generators unless the ring
+    has auxiliary variables.
 
     Buchberger with the coprime-leading-term and chain criteria, normal
     pair-selection strategy (smallest lcm in the ring order, then input
     position).
     """
-    if ideal._basis is not None:
-        return ideal._basis
+    if ideal._basis is None:
+        ring = ideal.ring
+        memo = _MEMO.get()
+        if memo is None or isinstance(ring.order, BlockOrder):
+            ideal._basis = _buchberger(ideal)
+        else:
+            key = ("gb", ring, _encode(ideal.gens))
+            ideal._basis = _memoized(memo, key, ring, lambda: _buchberger(ideal))
+    return ideal._basis
+
+
+def _buchberger(ideal):
+    """Compute the reduced basis of ``ideal``."""
     ring = ideal.ring
     config = ring.config
     key = ring.order.key
@@ -215,9 +298,7 @@ def groebner_basis(ideal):
         lms.append(h.leading_monomial())
         push_pairs(len(G) - 1)
 
-    basis = _interreduce(G)
-    ideal._basis = basis
-    return basis
+    return _interreduce(G)
 
 
 def _interreduce(G):
@@ -301,12 +382,24 @@ def unit_ideal(ring):
 
 def intersect(I, K):
     """I intersect K via the auxiliary-variable construction
-    (t*I + (1-t)*K, then eliminate t with a block order)."""
+    (t*I + (1-t)*K, then eliminate t with a block order); memoized on the
+    ring and both generator lists inside a :func:`memo_scope` call."""
     if I.ring != K.ring:
         raise RingMismatchError("ideals live in different rings")
     ring = I.ring
     if not I.gens or not K.gens:
         return Ideal(ring, [])
+    memo = _MEMO.get()
+    if memo is None:
+        return Ideal(ring, _eliminate_intersection(I, K))
+    key = ("meet", ring, _encode(I.gens), _encode(K.gens))
+    return Ideal(ring, _memoized(memo, key, ring, lambda: _eliminate_intersection(I, K)))
+
+
+def _eliminate_intersection(I, K):
+    """Generators of I intersect K: the aux-free part of the elimination
+    basis, projected back to the ring of I and K."""
+    ring = I.ring
     big = ring.extended(1)
     t = big.var(big.variables[-1])
     one_minus_t = big.one - t
@@ -315,7 +408,7 @@ def intersect(I, K):
     basis = groebner_basis(Ideal(big, gens))
     n = len(ring.variables)
     kept = [g for g in basis if all(not any(e[n:]) for e in g._terms)]
-    return Ideal(ring, [ring.project(g) for g in kept])
+    return [ring.project(g) for g in kept]
 
 
 def _exact_quotient(h, g):

@@ -126,6 +126,10 @@ class PolyRing:
                 raise ValueError(f"invalid variable name {name!r}")
         if len(set(variables)) != len(variables):
             raise ValueError("variable names must be unique")
+        self._init(p, variables, order, config)
+
+    def _init(self, p, variables, order, config):
+        """Set the fields from arguments that are already validated."""
         self.p = p
         self.variables = variables
         self.order = order if isinstance(order, MonomialOrder) else MonomialOrder(order)
@@ -183,7 +187,10 @@ class PolyRing:
     # -- elimination support ---------------------------------------------
 
     def extended(self, n_aux):
-        """Ring with ``n_aux`` dominant auxiliary variables appended."""
+        """Ring with ``n_aux`` dominant auxiliary variables appended.
+
+        Built without re-validating: the modulus was checked when this ring
+        was, and the auxiliary names are valid and new."""
         aux = []
         i = 0
         while len(aux) < n_aux:
@@ -191,13 +198,14 @@ class PolyRing:
             if name not in self._var_index:
                 aux.append(name)
             i += 1
-        aux = tuple(aux)
-        return PolyRing(
+        big = PolyRing.__new__(PolyRing)
+        big._init(
             self.p,
-            self.variables + aux,
-            order=BlockOrder(self.order, len(self.variables)),
-            config=self.config,
+            self.variables + tuple(aux),
+            BlockOrder(self.order, len(self.variables)),
+            self.config,
         )
+        return big
 
     def lift(self, f, big):
         """Re-express ``f`` in the extended ring ``big`` (zero aux exponents)."""

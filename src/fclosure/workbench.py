@@ -30,7 +30,7 @@ from .frobenius import (
     q_exponent,
 )
 from .genfrac import hsl_exponent, is_zero_in_cohomology, make_elem, t_action
-from .ideals import Ideal, ideal_equal, ideal_sum
+from .ideals import Ideal, ideal_equal, ideal_sum, memo_scope
 from .polyring import PolyRing, is_prime
 from .sequences import (
     SequenceSpec,
@@ -182,6 +182,7 @@ def _random_element(ring, rng, monomials, R):
     raise FClosureError("could not draw a nonzero element")
 
 
+@memo_scope
 def sample_parameter_ideals(R, cfg):
     """Deterministic sample of (sub)systems of parameters: random
     degree-bounded combinations of the variables, filtered through the
@@ -254,6 +255,7 @@ class QReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
+@memo_scope
 def survey_uniform_q(R, cfg):
     """Closure and minimal test exponent for each sampled parameter ideal;
     the aggregate maximum Q over certified records is the empirical witness
@@ -414,6 +416,7 @@ def _nil_suite(R, a, nil_gens, cfg):
     }
 
 
+@memo_scope
 def run_suite(name, R, x=None, cfg=None, a=None, nil_gens=None):
     """Dispatch a verification suite; returns a dict report with a
     ``passed`` key.  ``gy`` runs the full identity suite, ``huneke`` the

@@ -5,6 +5,9 @@ import random
 
 import pytest
 
+import fclosure.ideals as ideals
+import fclosure.polyring as polyring
+import fclosure.workbench as workbench
 from fclosure.config import EngineConfig
 from fclosure.errors import BudgetExceededError, ColonByZeroWarning, RingMismatchError
 from fclosure.ideals import (
@@ -18,6 +21,7 @@ from fclosure.ideals import (
     ideal_sum,
     intersect,
     krull_dimension,
+    memo_scope,
     normal_form,
     radical_member,
     saturate,
@@ -294,3 +298,106 @@ def test_scale_and_contains(R5):
     s = scale_ideal(R5.var("x"), I)
     assert ideal_equal(s, ideal_from_text("x^2; x*y^2", R5))
     assert ideal_contains(I, s)
+
+
+def test_intersect_does_not_retest_the_modulus(monkeypatch):
+    # the modulus is validated once, when the ring is built; trial division
+    # up to sqrt(2**31 - 1) would otherwise run on every elimination ring
+    ring = PolyRing(2**31 - 1, "xyz")
+    calls = []
+    monkeypatch.setattr(polyring, "is_prime", lambda p: calls.append(p) or True)
+    meet = intersect(ideal_from_text("x*y", ring), ideal_from_text("y*z", ring))
+    assert str(meet) == "x*y*z"
+    assert radical_member(ring.var("x"), ideal_from_text("x^2", ring))
+    assert calls == []
+
+
+def _rebuilt(I, rng):
+    """An ideal equal to I, built from new polynomials given in a shuffled order."""
+    gens = [I.ring.poly(dict(g._terms)) for g in I.gens]
+    rng.shuffle(gens)
+    return Ideal(I.ring, gens)
+
+
+def test_memo_gives_the_unmemoized_results(monkeypatch):
+    computed = []
+    for name in ("_buchberger", "_eliminate_intersection"):
+        fn = getattr(ideals, name)
+        monkeypatch.setattr(ideals, name, lambda *a, fn=fn: computed.append(1) or fn(*a))
+    rng = random.Random(21)
+
+    @memo_scope
+    def twice(I, K):
+        rounds = []
+        for _ in range(2):
+            before = len(computed)
+            basis = groebner_basis(_rebuilt(I, rng))
+            meet = intersect(_rebuilt(I, rng), _rebuilt(K, rng))
+            rounds.append((basis, meet.gens, len(computed) - before))
+        return rounds
+
+    for p in (2, 3, 5, 7):
+        ring = PolyRing(p, "xyz")
+        for _ in range(6):
+            I = random_ideal(rng, ring, max_gens=3, max_degree=3)
+            K = random_ideal(rng, ring, max_gens=2, max_degree=2)
+            basis, meet = groebner_basis(_rebuilt(I, rng)), intersect(I, K).gens
+            (b1, m1, n1), (b2, m2, n2) = twice(I, K)
+            assert b1 == b2 == basis and m1 == m2 == meet
+            assert [str(g) for g in b2] == [str(g) for g in basis]
+            assert n1 > 0 and n2 == 0  # the second round computed nothing
+
+
+def test_memo_lives_only_inside_the_outermost_call(monkeypatch):
+    seen = []
+
+    @memo_scope
+    def outer(fail):
+        seen.append(ideals._MEMO.get())
+        inner()
+        groebner_basis(ideal_from_text("x + y; x*y", PolyRing(5, "xy")))
+        if fail:
+            raise ValueError("fail")
+
+    @memo_scope
+    def inner():
+        seen.append(ideals._MEMO.get())
+
+    outer(False)
+    assert seen[0] is not None and seen[1] is seen[0]  # nested calls share one memo
+    assert seen[0]  # which kept the basis
+    assert ideals._MEMO.get() is None
+    with pytest.raises(ValueError):
+        outer(True)
+    assert ideals._MEMO.get() is None
+
+    # the entry points open a memo and drop it on return and on raise
+    R = workbench.builtin_ring("TWOPLANES")
+    seen.clear()
+    is_sop = workbench.is_system_of_parameters
+    monkeypatch.setattr(
+        workbench, "is_system_of_parameters", lambda x: seen.append(ideals._MEMO.get()) or is_sop(x)
+    )
+    cfg = workbench.SurveyConfig(sample_count=1, seed=1, lengths=(2,))
+    assert len(workbench.sample_parameter_ideals(R, cfg).sequences) == 1
+    assert seen and all(memo is not None for memo in seen)
+    assert ideals._MEMO.get() is None
+    with pytest.raises(ValueError):
+        workbench.run_suite("nope", R)
+    assert ideals._MEMO.get() is None
+
+
+def test_memo_does_not_keep_a_budget_failure():
+    ring = PolyRing(5, "xyz", config=EngineConfig(max_pairs=1))
+    text = "x*y - z^2; y^2 - x*z; x^2 - y*z"
+
+    @memo_scope
+    def twice():
+        for _ in range(2):
+            with pytest.raises(BudgetExceededError):
+                groebner_basis(ideal_from_text(text, ring))
+            with pytest.raises(BudgetExceededError):
+                intersect(ideal_from_text(text, ring), Ideal(ring, [ring.var("x")]))
+        return dict(ideals._MEMO.get())
+
+    assert twice() == {}

@@ -1,6 +1,7 @@
 """Ring files, built-ins, samplers, the uniform-Q survey, suite dispatch,
 and the command-line interface."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -10,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from fclosure.cli import main
-from fclosure.errors import ParseError
+from fclosure.cli import _run, main
+from fclosure.errors import InternalError, ParseError
 from fclosure.ideals import ideal_equal
 from fclosure.sequences import SequenceSpec, is_subsystem_of_parameters, is_system_of_parameters
 from fclosure.workbench import (
@@ -237,10 +238,26 @@ def test_cli_verify_and_survey(capsys):
 def test_verify_report_identical_across_hash_seeds(
     seq, nmax, exit_code, n_checks, n_failed, digest
 ):
-    # the digest is the SHA-256 of the report without its final newline
+    args = ["verify", "gy", "--json", "--ring", "TWOPLANES", "--seq", seq, "--nmax", nmax]
+    out = _stdout_across_hash_seeds(args, exit_code, digest)
+    checks = json.loads(out)["checks"]
+    assert (len(checks), sum(not c["passed"] for c in checks)) == (n_checks, n_failed)
+
+
+def test_survey_report_identical_across_hash_seeds():
+    args = ["survey-q", "--ring", "TWOPLANES", "--samples", "12", "--seed", "20260810"]
+    args += ["--j", "1,2", "--json"]
+    digest = "423ffb9f307ff262a132c77c5d32f20903f5f3c29c69a848f501c57a70afed93"
+    out = _stdout_across_hash_seeds(args, 0, digest)
+    assert json.loads(out)["aggregate"]["certified"] == 12
+
+
+def _stdout_across_hash_seeds(args, exit_code, digest):
+    """Run the CLI in subprocesses under PYTHONHASHSEED 0, 1 and 2; every run
+    must exit with ``exit_code`` and print the same report, whose SHA-256
+    without its final newline is ``digest``."""
     src = Path(__file__).resolve().parent.parent / "src"
-    cmd = [sys.executable, "-m", "fclosure.cli", "verify", "gy", "--json"]
-    cmd += ["--ring", "TWOPLANES", "--seq", seq, "--nmax", nmax]
+    cmd = [sys.executable, "-m", "fclosure.cli", *args]
     outputs = set()
     for hash_seed in ("0", "1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
@@ -249,10 +266,9 @@ def test_verify_report_identical_across_hash_seeds(
         outputs.add(done.stdout)
     assert len(outputs) == 1
     out = outputs.pop()
-    checks = json.loads(out)["checks"]
-    assert (len(checks), sum(not c["passed"] for c in checks)) == (n_checks, n_failed)
     assert out.endswith(b"\n")
     assert hashlib.sha256(out[:-1]).hexdigest() == digest
+    return out
 
 
 def test_cli_operational_errors(capsys):
@@ -268,6 +284,13 @@ def test_cli_internal_error_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(fclosure.frobenius, "ideal_contains", lambda I, K: False)
     assert main(["fclosure", "--ring", "NILLINE", "--ideal", "y"]) == 3
     assert "internal error" in capsys.readouterr().err
+
+
+def test_cli_unknown_command_is_an_internal_error():
+    # main() maps InternalError to exit code 3
+    args = argparse.Namespace(command="nope", ring="REG", char=None, json=False)
+    with pytest.raises(InternalError, match="unhandled command nope"):
+        _run(args)
 
 
 def test_cli_ops(capsys):
