@@ -355,11 +355,7 @@ def _run(args):
             f"max Q: {agg['max_q']}",
             f"histogram: {agg['histogram']}",
         ]
-        if args.json:
-            print(report.to_json())
-        else:
-            for line in lines:
-                print(line)
+        _emit(args, report.to_dict(), lines)
         return 0 if agg["indeterminate"] == 0 else 2
 
     raise InternalError(f"unhandled command {args.command}")

@@ -45,16 +45,13 @@ def _certificate_ideal(seq, r, denominators):
     return colon(base, Ideal(R.ring, [seq.elements[r]]))
 
 
-def make_elem(h, seq, r, denominators=None):
-    """Build a fraction after checking the kernel certificate
+def make_elem(h, seq, r):
+    """Build the fraction h / (x_1**n_1, ..., x_r**n_r), the n_i being the
+    sequence's exponents, after checking the kernel certificate
     h in ((x_1**n_1, ..., x_r**n_r) + J : x_{r+1}); rejected otherwise."""
     if not 0 <= r < seq.length:
         raise ValueError(f"fraction length r={r} must satisfy 0 <= r < {seq.length}")
-    denominators = (
-        tuple(denominators) if denominators is not None else seq.exponents[:r]
-    )
-    if len(denominators) != r or any(n < 1 for n in denominators):
-        raise ValueError("denominator exponents must be positive and of length r")
+    denominators = seq.exponents[:r]
     h = seq.R.reduce(h)
     cert = _certificate_ideal(seq, r, denominators)
     if not ideal_member(h, cert):

@@ -143,7 +143,7 @@ def ideal_from_text(text, ring):
 
 
 def _reduce_full(f, basis):
-    """Fully reduce ``f`` against ``basis`` (a sequence of nonzero polynomials).
+    """Fully reduce ``f`` against ``basis`` (a sequence of monic polynomials).
 
     Divisor choice is the first basis element (in the given order) whose
     leading monomial divides the current monomial, which makes the result
@@ -155,7 +155,7 @@ def _reduce_full(f, basis):
     ring = f.ring
     p = ring.p
     key = ring.order.key
-    heads = [(g.leading_monomial(), pow(g.leading_coeff(), p - 2, p), g) for g in basis]
+    heads = [(g.leading_monomial(), g) for g in basis]
     work = dict(f._terms)
     out = {}
     heap = [(tuple(-v for v in key(e)), e) for e in work]
@@ -166,21 +166,17 @@ def _reduce_full(f, basis):
         c = work.get(e)
         if not c:
             continue
-        hit = None
-        for lm, lc_inv, g in heads:
+        for lm, g in heads:
             if all(a >= b for a, b in zip(e, lm)):
-                hit = (lm, lc_inv, g)
                 break
-        if hit is None:
+        else:
             del work[e]
             out[e] = c
             continue
-        lm, lc_inv, g = hit
         shift = tuple(a - b for a, b in zip(e, lm))
-        factor = (c * lc_inv) % p
         for ge, gc in g._terms.items():
             ee = tuple(a + b for a, b in zip(shift, ge))
-            s = (work.get(ee, 0) - factor * gc) % p
+            s = (work.get(ee, 0) - c * gc) % p
             if s:
                 if ee not in work:
                     if sum(ee) > max_deg:
@@ -202,15 +198,13 @@ def _monic(f):
 
 
 def _spoly(f, g):
+    """The S-polynomial of the monic polynomials ``f`` and ``g``."""
     lf, lg = f.leading_monomial(), g.leading_monomial()
     lcm = tuple(max(a, b) for a, b in zip(lf, lg))
     mf = tuple(a - b for a, b in zip(lcm, lf))
     mg = tuple(a - b for a, b in zip(lcm, lg))
     ring = f.ring
-    p = ring.p
-    uf = ring.monomial(mf, pow(f.leading_coeff(), p - 2, p))
-    ug = ring.monomial(mg, pow(g.leading_coeff(), p - 2, p))
-    return uf * f - ug * g
+    return ring.monomial(mf) * f - ring.monomial(mg) * g
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +232,8 @@ def groebner_basis(ideal):
 
 
 def _buchberger(ideal):
-    """Compute the reduced basis of ``ideal``."""
+    """Compute the reduced basis of ``ideal``.  Every element enters the
+    working basis monic, so no reduction divides by a leading coefficient."""
     ring = ideal.ring
     config = ring.config
     key = ring.order.key
@@ -302,7 +297,8 @@ def _buchberger(ideal):
 
 
 def _interreduce(G):
-    """Minimalize then tail-reduce a Groebner basis into the reduced basis."""
+    """Minimalize then tail-reduce a monic Groebner basis into the reduced
+    basis (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 2 §7)."""
     if not G:
         return ()
     ring = G[0].ring
@@ -315,18 +311,14 @@ def _interreduce(G):
         if any(all(a >= b for a, b in zip(lm, g.leading_monomial())) for g in kept):
             continue
         kept.append(G[i])
-    # reduce each element against the others until stable
-    changed = True
-    while changed:
-        changed = False
-        for i, g in enumerate(kept):
-            others = kept[:i] + kept[i + 1 :]
-            r = _monic(_reduce_full(g, others)) if others else g
-            if r != g:
-                if r.is_zero():
-                    raise InternalError("minimal basis element reduced to zero")
-                kept[i] = r
-                changed = True
+    # one pass suffices: a minimal basis keeps its leading monomials (and
+    # leading coefficient 1) under reduction, so a later replacement cannot
+    # make an earlier remainder reducible again
+    for i, g in enumerate(kept):
+        r = _reduce_full(g, kept[:i] + kept[i + 1 :])
+        if r.is_zero():
+            raise InternalError("minimal basis element reduced to zero")
+        kept[i] = r
     kept.sort(key=lambda g: key(g.leading_monomial()), reverse=True)
     return tuple(kept)
 

@@ -116,7 +116,8 @@ class PolyRing:
     __slots__ = ("p", "variables", "order", "config", "_var_index")
 
     def __init__(self, p, variables, order="grevlex", config=None):
-        if not is_prime(p) or p > 2**31 - 1:
+        # range first: trial division up to sqrt(p) is slow for a huge modulus
+        if p > 2**31 - 1 or not is_prime(p):
             raise ValueError(f"modulus not prime (or out of range): {p}")
         variables = tuple(variables)
         if not variables:

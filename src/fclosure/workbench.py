@@ -31,7 +31,7 @@ from .frobenius import (
 )
 from .genfrac import hsl_exponent, is_zero_in_cohomology, make_elem, t_action
 from .ideals import Ideal, ideal_equal, ideal_sum, memo_scope
-from .polyring import PolyRing, is_prime
+from .polyring import PolyRing
 from .sequences import (
     SequenceSpec,
     is_subsystem_of_parameters,
@@ -102,8 +102,6 @@ def load_ring(path, config=None):
                     p = int(rest)
                 except ValueError:
                     raise ParseError(f"{path}:{lineno}: malformed characteristic {rest!r}")
-                if not is_prime(p):
-                    raise ParseError(f"{path}:{lineno}: modulus not prime: {p}")
             elif head == "vars":
                 variables = tuple(rest.split())
                 if not variables:

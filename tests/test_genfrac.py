@@ -81,9 +81,10 @@ def test_zero_test_regular_ring(REG):
 
 def test_zero_test_unequal_denominators(REG):
     # unequal exponents are equalized by scaling the numerator
-    sop = reg_sop(REG)
+    sop = reg_sop(REG).with_exponents((2, 1, 1))
     h = REG.ring.parse("x^2*y")
-    elem = make_elem(h, sop, 2, denominators=(2, 1))
+    elem = make_elem(h, sop, 2)
+    assert elem.denominators == (2, 1)
     assert is_zero_in_cohomology(elem) is True
 
 

@@ -76,6 +76,35 @@ def test_buchberger_certificate_random():
                     assert _reduce_full(_spoly(basis[i], basis[j]), basis).is_zero()
 
 
+def test_interreduce_reduces_each_kept_element_once(monkeypatch):
+    # the reduced basis comes from one pass over the minimal basis
+    calls = []
+    reduce_full = ideals._reduce_full
+    monkeypatch.setattr(ideals, "_reduce_full", lambda f, basis: calls.append(f) or reduce_full(f, basis))
+    R = PolyRing(5, ["x", "y"])
+    G = [R.parse(text) for text in ("x + y", "y", "x*y + y^2")]
+    assert [str(g) for g in ideals._interreduce(G)] == ["x", "y"]
+    assert len(calls) == 2
+    # and so inside every Buchberger run
+    interreduce = ideals._interreduce
+    counts = []
+
+    def counted(G):
+        before = len(calls)
+        basis = interreduce(G)
+        counts.append((len(calls) - before, len(basis)))
+        return basis
+
+    monkeypatch.setattr(ideals, "_interreduce", counted)
+    rng = random.Random(7)
+    for p in (2, 3, 5):
+        ring = PolyRing(p, ["x", "y", "z"])
+        for _ in range(6):
+            groebner_basis(random_ideal(rng, ring, max_gens=3, max_degree=3, max_terms=3))
+    assert all(made == kept for made, kept in counts)
+    assert any(kept > 1 for _, kept in counts)
+
+
 def test_groebner_matches_sympy_oracle():
     # reduced grevlex bases agree with sympy's, an independent implementation
     sympy = pytest.importorskip("sympy")

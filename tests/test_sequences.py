@@ -1,7 +1,10 @@
 """Parameter tests, d-sequences, unmixed parts, limit ideals, identity suite."""
 
+import itertools
+
 import pytest
 
+from fclosure.config import EngineConfig
 from fclosure.errors import BudgetExceededError, ColonByZeroWarning
 from fclosure.frobenius import QuotientRing
 from fclosure.ideals import Ideal, colon, ideal_contains, ideal_equal
@@ -198,6 +201,21 @@ def test_suite_negative_control(XY):
 def test_suite_twoplanes_box(TW):
     report = verify_identity_suite(twoplanes_sop(TW), 2)
     assert report.hypothesis_verified and report.all_passed
+
+
+def test_suite_records_unstabilized_limit_chains():
+    # with a chain cap of 0 no limit-ideal chain can stabilize: each limit
+    # identity is recorded as failed with the cause, every other check passes
+    capped = builtin_ring("TWOPLANES", config=EngineConfig(limit_chain_cap=0))
+    report = verify_identity_suite(twoplanes_sop(capped), 2)
+    failed = [c for c in report.checks if not c.passed]
+    assert len(report.checks) == 64
+    assert sorted((c.identity, c.params["n"]) for c in failed) == sorted(
+        (name, n)
+        for name in ("limit_forms", "limit_product", "limit_decomposition")
+        for n in itertools.product((1, 2), repeat=2)
+    )
+    assert {c.detail for c in failed} == {"limit-ideal chain did not stabilize within 0 steps"}
 
 
 def test_suite_identity_filter(REG):

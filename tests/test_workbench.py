@@ -11,9 +11,11 @@ from pathlib import Path
 
 import pytest
 
+import fclosure.polyring as polyring
 from fclosure.cli import _run, main
 from fclosure.errors import InternalError, ParseError
 from fclosure.ideals import ideal_equal
+from fclosure.polyring import PolyRing
 from fclosure.sequences import SequenceSpec, is_subsystem_of_parameters, is_system_of_parameters
 from fclosure.workbench import (
     SurveyConfig,
@@ -53,6 +55,26 @@ def test_load_ring_rejects_non_prime(tmp_path):
     path = _write(tmp_path, "bad.ring", "char 4\nvars x y\n")
     with pytest.raises(ParseError, match="not prime"):
         load_ring(path)
+
+
+def test_out_of_range_modulus_is_rejected_without_trial_division(tmp_path, monkeypatch, capsys):
+    # 2**61 - 1 is prime but out of range; trial division up to its square
+    # root would run for minutes before the range check rejected it
+    huge = 2**61 - 1
+    is_prime = polyring.is_prime
+
+    def small_only(p):
+        if p > 2**31 - 1:
+            pytest.fail(f"trial division of the out-of-range modulus {p}")
+        return is_prime(p)
+
+    monkeypatch.setattr(polyring, "is_prime", small_only)
+    with pytest.raises(ValueError, match="out of range"):
+        PolyRing(huge, ["x"])
+    with pytest.raises(ParseError, match="out of range"):
+        load_ring(_write(tmp_path, "huge.ring", f"char {huge}\nvars x y\n"))
+    assert main(["gb", "--ring", "REG", "--char", str(huge), "--ideal", "x"]) == 2
+    assert "out of range" in capsys.readouterr().err
 
 
 def test_load_ring_line_errors(tmp_path):
