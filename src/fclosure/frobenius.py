@@ -12,8 +12,8 @@ Two different "e-th root" operations appear here and must not be confused:
   g**q in I by construction.
 
 The preimage always sits inside the root, and they agree exactly when every
-root generator certifies; that fact gives a fast path that avoids the
-module computation entirely on regular rings.
+root generator certifies.  Each Frobenius step of the preimage tests that
+once, which avoids the module computation entirely on regular rings.
 """
 
 from __future__ import annotations
@@ -117,7 +117,6 @@ def frobenius_power(I, e):
     Generator powers suffice: the Frobenius power of an ideal is generated
     by the q-th powers of any generating set.
     """
-    e = e.e if isinstance(e, FrobeniusExponent) else e
     _check_e(e, I.ring)
     if e == 0:
         return I
@@ -131,7 +130,6 @@ def frobenius_root(I, e):
     components of its generator, and the root of a sum is the sum of roots.
     Requires a prime coefficient field.
     """
-    e = e.e if isinstance(e, FrobeniusExponent) else e
     _check_e(e, I.ring)
     if e == 0:
         return I
@@ -340,14 +338,9 @@ def frobenius_preimage(I, e):
     """The largest ideal K with frobenius_power(K, e) contained in I,
     i.e. {r : r**(p**e) in I}.  Every generator of the result satisfies
     that membership by construction."""
-    e = e.e if isinstance(e, FrobeniusExponent) else e
     _check_e(e, I.ring)
     if e == 0:
         return I
-    # full-level fast path via the (always larger) Frobenius root
-    root = frobenius_root(Ideal(I.ring, groebner_basis(I)), e)
-    if all(ideal_member(g.frobenius(e), I) for g in groebner_basis(root)):
-        return root
     current = I
     for _ in range(e):
         current = _preimage_step(current)

@@ -125,8 +125,15 @@ def load_ring(path, config=None):
 
 
 def resolve_ring(name_or_path, p=None, config=None):
+    """A built-in ring by name, else a ring file; ``p`` applies to built-in
+    rings only, since a file's ``char`` line sets its characteristic."""
     if name_or_path in _BUILTINS:
         return builtin_ring(name_or_path, p, config)
+    if p is not None:
+        raise ValueError(
+            f"characteristic {p} given for the ring file {name_or_path}: "
+            "it applies to built-in rings only"
+        )
     return load_ring(name_or_path, config)
 
 
@@ -147,6 +154,9 @@ class SurveyConfig:
     def resolved_lengths(self, t):
         if self.lengths == "all":
             return tuple(range(1, t + 1))
+        for j in self.lengths:
+            if not 1 <= j <= t:
+                raise ValueError(f"subsystem length {j} is outside 1..{t}")
         return tuple(self.lengths)
 
 

@@ -5,6 +5,7 @@ import argparse
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -86,6 +87,17 @@ def test_load_ring_line_errors(tmp_path):
         load_ring(path)
 
 
+def test_char_is_rejected_for_a_ring_file(tmp_path, capsys):
+    # the file's own 'char' line sets the characteristic
+    path = _write(tmp_path, "planes.ring", "char 2\nvars x y z w\nrel x*z\nrel y*w\n")
+    assert resolve_ring(path).p == 2
+    with pytest.raises(ValueError, match="built-in rings only"):
+        resolve_ring(path, 3)
+    assert main(["gb", "--ring", path, "--char", "3", "--ideal", "x+z; y+w"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "built-in rings only" in captured.err
+
+
 def test_builtins():
     assert builtin_ring("REG", p=3).dimension == 3
     assert resolve_ring("NILLINE").dimension == 1
@@ -140,6 +152,14 @@ def test_sampler_requires_positive_dimension():
         R0 = RingDescription(5, ("x",), ("x^3",)).build()
     with pytest.raises(ValueError, match="positive dimension"):
         sample_parameter_ideals(R0, SurveyConfig(sample_count=1))
+
+
+@pytest.mark.parametrize("length", [3, 0])
+def test_survey_rejects_lengths_outside_the_dimension(length):
+    TW = builtin_ring("TWOPLANES")
+    cfg = SurveyConfig(sample_count=2, lengths=(length,))
+    with pytest.raises(ValueError, match=f"subsystem length {length} is outside 1..2"):
+        survey_uniform_q(TW, cfg)
 
 
 def test_survey_regular_all_trivial():
@@ -331,3 +351,94 @@ def test_cli_ops(capsys):
     assert main(["limideal", "--ring", "NILLINE", "--seq", "y", "--exps", "2"]) == 0
     out = capsys.readouterr().out
     assert "x^2; y^2" in out
+
+
+# Every README example, the failing member/dseq/filtreg cases and a parse
+# error: (id, command line, exit code, SHA-256 of stdout in text mode, and
+# with --json).  The 12-sample survey stands in for the README's 50 samples.
+_PINNED_RUNS = [
+    ("gb", 'gb --ring TWOPLANES --ideal "x+z; y+w"', 0,
+     "9eeccc222bdc70176bac1986cbc3ba79f676d21da35d57f272dfb464e964db98",
+     "aa09df0c18a5babd94ebb7452ee195b7b383ee1eb1fa2f583b1d9fce11b4ba1f"),
+    ("member", 'member --ring NILLINE --ideal y --poly x', 1,
+     "e7977f5ba7d32779502a0ab1ea81464ce57f84d5ac661eaca4e5bc6527cc71eb",
+     "a1f2d80208c1e96fff2cf996c2ff2e8f2a446fe46ca31a1b01b107a85bc8aee3"),
+    ("member-true", 'member --ring NILLINE --ideal y --poly "x^2"', 0,
+     "0c354da5e4d2bf407fc96009764096b548f7593fe000c3e7424e5331029d49be",
+     "f871ecf842b31f3510b0eb7cd04aacb895ca436846f31e415450f5d8da535429"),
+    ("colon", 'colon --ring TWOPLANES --ideal 0 --by x', 0,
+     "e6fd07ac3585045bc66f3c28ab5d9382474304034b2aa0b83ea5f73048564e5a",
+     "3712267b24e096b184e43019608f03f5bd9f860aeb632b945d5d6fae6a3e19b4"),
+    ("intersect", 'intersect --ring REG --ideal x --with y', 0,
+     "f89e60867dfa4fdd5244a8c422884583baebcd68ce34e5657fdb85a8510e0818",
+     "10e5bad1e4a60f40aa307f1deabf3d46d150ea664b06509fc92d24b69b513947"),
+    ("sat", 'sat --ring REG --ideal "x^2*y" --by "x; y"', 0,
+     "2a4e3b5ac68039250cafedc9fee3d0c7d37de444b78f61f2a7d7cf11c4334433",
+     "5fb156d14ece61183312f3d5104f54d0d72c91add89b3e62dcd4aa01ad9ad534"),
+    ("dim", 'dim --ring TWOPLANES --ideal 0', 0,
+     "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+     "cfef975a06d9324e60d42146ea86f27ae388c9d41c833f098a71a2c4eecfa2e0"),
+    ("fpower", 'fpower --ring NILLINE --ideal y -e 1', 0,
+     "019e6bd4a5423fa03a18ec75c46ed0c3b0d231021b402ebe7b016f2aabb3209c",
+     "1ffdaf52b293b46269ed5eb79d7e73bd92eb537ec3d572390226541f12cfe4cf"),
+    ("froot", 'froot --ring REG --char 2 --ideal "x^2*y^3" -e 1', 0,
+     "f89e60867dfa4fdd5244a8c422884583baebcd68ce34e5657fdb85a8510e0818",
+     "9dfb6f56e23dfaf5c555e561cc9100a11cb351dbc429fb5153b57e7de136b02a"),
+    ("fclosure", 'fclosure --ring NILLINE --ideal y', 0,
+     "0f8ae2504cb5aa777a99f1e57d879c50e81f7bfd0cfbe1c1ed07dbb3aed42740",
+     "c5dbc95644c7a1b2bd34347005045d2ed75a2fc65aca68ed6d6522df9f474c7c"),
+    ("qexp", 'qexp --ring NILLINE --ideal y', 0,
+     "1f6cef31948327ff9c9f296d02f6a82e1293368ab17c0a8b42704751741e7530",
+     "1a796de5aa40c703bdff0f2911f66c0559731d12f24d8c48b088892d117ca11e"),
+    ("dseq", 'dseq --ring REG --seq "x; y; z"', 0,
+     "4eeb239ba59289f5f4d9b8f76414a5820388abd7b4c5e8c1969d258884bdf64b",
+     "338bb84cc543e6d81a8ccd9f7fa7376e0521e98da495e1b5b0d5f0016628ed45"),
+    ("dseq-false", 'dseq --ring NILLINE --seq x', 1,
+     "a7cf2ebf05f7fae34b4c560ffe2064f5f0b2738063559cb7b34181db598fe1d2",
+     "9053dad5190da613292f20853a09f66553ea8a7fb0c09da7eaba86be124aac51"),
+    ("usd", 'usd --ring TWOPLANES --seq "x+z; y+w" --nmax 3', 0,
+     "ebeca03483a25aabd8797540584e9fc77912b3e16b2093e730924d63ca664b31",
+     "301df409fe17094823b56ec34920d2ea4b61714f63e5d174d3da05e488ab3599"),
+    ("filtreg", 'filtreg --ring TWOPLANES --seq "x+z; y+w"', 0,
+     "8df491599270102a2b0ff4d45bbd5cb166a188bb42bcb1f1cfaf85dc08642ba2",
+     "f746a49076f120e52e77c57a248c00cc251956fd8c2a8b6ef98cafd982509d3a"),
+    ("filtreg-false", 'filtreg --ring TWOPLANES --seq x', 1,
+     "1c019be85e138066aaa86068426528ce0c119e79e8f931b3c77910fa9f2b3809",
+     "9d26ba6d81e5008d808cef09eb394f181097cd8b96233552c22c7505cbad5fc5"),
+    ("unmixed", 'unmixed --ring TWOPLANES --seq "x+z; y+w" --subset 1', 0,
+     "ee44b4874681936a7905ca674901e2cf167bd744f593db385eba1228e4f76d3d",
+     "48172a11f00a4b410f570ba2902db5270b8abd9154960cf0e86072705759b7ae"),
+    ("limideal", 'limideal --ring NILLINE --seq y --exps 2', 0,
+     "5d11d68644ccb823c3e498047de413eb28a95dc72f397ceddb0e8994d833807f",
+     "854f970f980bd6b5b1d733d24125691713380ce4bf42336155c05366671c285e"),
+    ("verify-gy", 'verify gy --ring TWOPLANES --seq "x+z; y+w" --nmax 3', 0,
+     "09f09103404a8c610b9095c1498f91f9c61770baa5b4d53ef2e58a2cd5d82aa1",
+     "6fc860450652998e013da57df6d10c7983354ae3dc5f44c9e6542c6920bb3f9b"),
+    ("verify-fixedq", 'verify fixedq --ring TWOPLANES --seq "x+z; y+w" --samples 3', 0,
+     "2d783dd30e01621fc8370ba9f8397af43de576571083ad57702bf18cf71f0b2f",
+     "b751a198e8ccffb784d0b886574c9af2d16a6bca12cc1853e1b2301d3e549c1c"),
+    ("verify-nil", 'verify nil --ring NILLINE --ideal y --nil x', 0,
+     "4502a5e0255243c339e4d9e759e1ac3fce251f5d7f101e186e70446102e5a423",
+     "04aeae2bb84ba58eb77b0e7a429ea316f04940c4830051f5d3de2c2f5e634799"),
+    ("survey-q", 'survey-q --ring TWOPLANES --samples 12 --seed 20260810 --j 1,2', 0,
+     "eff7bfd4f8d77d2f0f3ec8fc89c4e00cb76b924d0c40ad24b8b8036bdf0cdb0a",
+     "3d1f0f46209b27e5a7a763acfdde52095cdccfda97388fd67600be3bb638844e"),
+    ("parse-error", 'gb --ring REG --ideal "x + q"', 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+@pytest.mark.parametrize("mode", ["text", "json"])
+@pytest.mark.parametrize(
+    "command, exit_code, text_digest, json_digest",
+    [row[1:] for row in _PINNED_RUNS],
+    ids=[row[0] for row in _PINNED_RUNS],
+)
+def test_cli_output_is_pinned(command, exit_code, text_digest, json_digest, mode, capsys):
+    argv = shlex.split(command) + (["--json"] if mode == "json" else [])
+    assert main(argv) == exit_code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        text_digest if mode == "text" else json_digest
+    )
