@@ -52,11 +52,7 @@ def _seq(args, R):
 
 
 def _subset(text, length):
-    subset = list(range(1, length + 1)) if text is None else _ints(text)
-    for i in subset:
-        if not 1 <= i <= length:
-            raise ValueError(f"subset index {i} out of range 1..{length}")
-    return subset
+    return list(range(1, length + 1)) if text is None else _ints(text)
 
 
 def _result(args, lines, code=0, **fields):
@@ -168,7 +164,7 @@ def _verify(args, R):
 
 
 def _survey_q(args, R):
-    lengths = "all" if args.j == "all" else tuple(int(v) for v in args.j.split(","))
+    lengths = "all" if args.j == "all" else tuple(_ints(args.j))
     cfg = SurveyConfig(
         sample_count=args.samples,
         seed=args.seed,
@@ -203,8 +199,8 @@ BY = _arg("--by", required=True)
 WITH = _arg("--with", dest="with_", required=True)
 POLY = _arg("--poly", required=True)
 E = _arg("-e", type=int, required=True)
-EMAX = _arg("--emax", type=int)
-LOOKAHEAD = _arg("--lookahead", type=int)
+EMAX = _arg("--emax", type=int, default=5)
+LOOKAHEAD = _arg("--lookahead", type=int, default=2)
 SEQ = (_arg("--seq", required=True), _arg("--exps"))
 SUBSET = _arg("--subset")
 NMAX = _arg("--nmax", type=int, default=2)

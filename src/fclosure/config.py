@@ -23,10 +23,6 @@ class EngineConfig:
     # Frobenius exponent e in q = p**e
     frobenius_e_cap: int = 8
 
-    # closure chain policy
-    closure_e_max: int = 5
-    closure_lookahead: int = 2
-
     # ascending-chain iteration caps
     limit_chain_cap: int = 12
     saturation_cap: int = 64

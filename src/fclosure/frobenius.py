@@ -254,8 +254,6 @@ def _module_intersection_component(vectors, ring):
     processed = 0
     while heap:
         _, i, j, comp, lcm = heapq.heappop(heap)
-        if (i, j) not in pending:
-            continue
         pending.discard((i, j))
         processed += 1
         if processed > config.max_pairs:
@@ -374,12 +372,9 @@ class ClosureResult:
 
 
 @memo_scope
-def frobenius_closure(a, R, e_max=None, lookahead=None):
+def frobenius_closure(a, R, e_max=5, lookahead=2):
     """Ascending chain F_e = {r : r**(p**e) in a^[p**e] + J}, stopped after
     ``lookahead`` consecutive equal values or at ``e_max``."""
-    config = R.ring.config
-    e_max = config.closure_e_max if e_max is None else e_max
-    lookahead = config.closure_lookahead if lookahead is None else lookahead
     base = ideal_sum(a, R.J)
     chain = []
     run = 0
@@ -404,14 +399,13 @@ def frobenius_closure(a, R, e_max=None, lookahead=None):
 
 
 @memo_scope
-def q_exponent(a, R, e_max=None, closure=None):
+def q_exponent(a, R, e_max=5, closure=None):
     """The least Q = p**e with (a^F)^[Q] + J = a^[Q] + J.
 
     Scanning upward from e = 0 gives minimality directly; once the powers
     agree at some e they agree at every larger one, because taking p-th
     powers preserves the equality modulo J.
     """
-    e_max = R.ring.config.closure_e_max if e_max is None else e_max
     if closure is None:
         result = frobenius_closure(a, R, e_max=e_max)
         if not result.stabilized:

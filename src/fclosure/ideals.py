@@ -6,10 +6,11 @@ queue uses the normal strategy (smallest lcm in the ring order), and ties
 break by input position.  Budgets come from the ring's
 :class:`~fclosure.config.EngineConfig`.
 
-Inside one call of an entry point marked :func:`memo_scope`, reduced bases
-(of rings without auxiliary variables) and intersections are memoized on
-the ring and the generators, so each distinct one is computed once; the
-memo is dropped when that call returns or raises.
+Inside one call of an entry point marked :func:`memo_scope`, reduced bases,
+intersections and colons of rings without auxiliary variables are memoized
+on the ring and the generators (all through :func:`_reused`), so each
+distinct one is computed once; the memo is dropped when that call returns
+or raises.
 """
 
 from __future__ import annotations
@@ -76,9 +77,16 @@ def _decode(ring, code):
     return tuple(polys)
 
 
-def _memoized(memo, key, ring, compute):
-    """The polynomials ``compute()`` returns, kept in ``memo`` under ``key``
-    as a flat int tuple; nothing is kept when ``compute`` raises."""
+def _reused(kind, ring, operands, compute):
+    """The polynomials ``compute()`` returns.  Inside a :func:`memo_scope`
+    call on a ring without auxiliary variables they are kept as a flat int
+    tuple under ``kind``, the ring and the encoded generator lists
+    ``operands``, and a repeated request decodes them instead of computing;
+    nothing is kept when ``compute`` raises."""
+    memo = _MEMO.get()
+    if memo is None or isinstance(ring.order, BlockOrder):
+        return compute()
+    key = (kind, ring, *map(_encode, operands))
     code = memo.get(key)
     if code is not None:
         return _decode(ring, code)
@@ -120,9 +128,6 @@ class Ideal:
         if not isinstance(other, Ideal):
             return NotImplemented
         return self.ring == other.ring and self.basis() == other.basis()
-
-    def __hash__(self):
-        return hash((self.ring, self.basis()))
 
     def __str__(self):
         b = self.basis()
@@ -221,13 +226,7 @@ def groebner_basis(ideal):
     position).
     """
     if ideal._basis is None:
-        ring = ideal.ring
-        memo = _MEMO.get()
-        if memo is None or isinstance(ring.order, BlockOrder):
-            ideal._basis = _buchberger(ideal)
-        else:
-            key = ("gb", ring, _encode(ideal.gens))
-            ideal._basis = _memoized(memo, key, ring, lambda: _buchberger(ideal))
+        ideal._basis = _reused("gb", ideal.ring, (ideal.gens,), lambda: _buchberger(ideal))
     return ideal._basis
 
 
@@ -261,8 +260,6 @@ def _buchberger(ideal):
     processed = 0
     while heap:
         _, i, j, lcm = heapq.heappop(heap)
-        if (i, j) not in pending:
-            continue
         pending.discard((i, j))
         processed += 1
         if processed > config.max_pairs:
@@ -381,11 +378,8 @@ def intersect(I, K):
     ring = I.ring
     if not I.gens or not K.gens:
         return Ideal(ring, [])
-    memo = _MEMO.get()
-    if memo is None:
-        return Ideal(ring, _eliminate_intersection(I, K))
-    key = ("meet", ring, _encode(I.gens), _encode(K.gens))
-    return Ideal(ring, _memoized(memo, key, ring, lambda: _eliminate_intersection(I, K)))
+    gens = _reused("meet", ring, (I.gens, K.gens), lambda: _eliminate_intersection(I, K))
+    return Ideal(ring, gens)
 
 
 def _eliminate_intersection(I, K):
@@ -423,20 +417,28 @@ def _exact_quotient(h, g):
 
 
 def colon(I, K):
-    """(I : K) = {r : rK in I}.  Colon by the zero ideal returns the unit
-    ideal with a warning, by convention."""
+    """(I : K) = {r : rK in I}; memoized on the ring and both generator
+    lists inside a :func:`memo_scope` call.  Colon by the zero ideal returns
+    the unit ideal with a warning, by convention, on every call."""
     if I.ring != K.ring:
         raise RingMismatchError("ideals live in different rings")
     ring = I.ring
     if not K.gens:
         warnings.warn("colon by the zero ideal: returning the unit ideal", ColonByZeroWarning)
         return unit_ideal(ring)
+    return Ideal(ring, _reused("colon", ring, (I.gens, K.gens), lambda: _colon_gens(I, K)))
+
+
+def _colon_gens(I, K):
+    """Generators of (I : K), the intersection over g in K of (I : g), each
+    (I : g) being (I intersect (g)) divided by g."""
+    ring = I.ring
     result = None
     for g in K.gens:
         meet = intersect(I, Ideal(ring, [g]))
         part = Ideal(ring, [_exact_quotient(h, g) for h in meet.gens])
         result = part if result is None else intersect(result, part)
-    return result
+    return result.gens
 
 
 def saturate(I, K):

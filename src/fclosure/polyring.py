@@ -139,9 +139,6 @@ class PolyRing:
 
     # -- construction -----------------------------------------------------
 
-    def nvars(self):
-        return len(self.variables)
-
     def poly(self, terms):
         """Canonicalize a {exponent tuple: int} mapping into a Polynomial."""
         p = self.p

@@ -27,6 +27,7 @@ from .ideals import (
     ideal_sum,
     intersect,
     krull_dimension,
+    memo_scope,
     radical_member,
     saturate,
     scale_ideal,
@@ -141,19 +142,15 @@ def is_subsystem_of_parameters(x):
 # d-sequences
 
 
-def _colon_by(I, g):
-    return colon(I, Ideal(I.ring, [g]))
-
-
-def _d_sequence_violation(x, colon_by):
-    """The first pair (j, k) violating the d-sequence condition, or None;
-    ``colon_by(I, g)`` computes (I : g)."""
+def _d_sequence_violation(x):
+    """The first pair (j, k) violating the d-sequence condition, or None."""
     eff = x.effective()
     l = x.length
     for j in range(l):
         prefix = x.prefix_ideal(j)
         for k in range(j + 1, l + 1):
-            if not ideal_equal(colon_by(prefix, eff[j] * eff[k - 1]), colon_by(prefix, eff[k - 1])):
+            by_pair = colon(prefix, Ideal(prefix.ring, [eff[j] * eff[k - 1]]))
+            if not ideal_equal(by_pair, colon(prefix, Ideal(prefix.ring, [eff[k - 1]]))):
                 return j, k
     return None
 
@@ -162,7 +159,7 @@ def is_d_sequence(x):
     """Check ((x_1,...,x_j) : x_{j+1} x_k) = ((x_1,...,x_j) : x_k) for all
     0 <= j < k <= l, on the powered elements.  Returns (verdict, violation),
     the violation being the first failing pair (j, k) or None."""
-    violation = _d_sequence_violation(x, _colon_by)
+    violation = _d_sequence_violation(x)
     return violation is None, violation
 
 
@@ -179,9 +176,11 @@ class UsdVerdict:
     witness: dict | None = None
 
 
+@memo_scope
 def is_usd_bounded(x, n_max):
     """Test every permutation of (x_1**m_1, ..., x_l**m_l) for every
-    exponent vector in [1, n_max]^l against the d-sequence condition."""
+    exponent vector in [1, n_max]^l against the d-sequence condition; the
+    colons repeated across them are computed once."""
     l = x.length
     cap = x.R.ring.config.usd_length_cap
     if l > cap:
@@ -189,11 +188,10 @@ def is_usd_bounded(x, n_max):
             f"sequence length {l} exceeds the permutation cap {cap}",
             kind="usd",
         )
-    colon_by = functools.cache(_colon_by)  # shared by every exponent vector and permutation
     for box in itertools.product(range(1, n_max + 1), repeat=l):
         powered = x.with_exponents(box)
         for perm in itertools.permutations(range(l)):
-            violation = _d_sequence_violation(powered.permuted(perm), colon_by)
+            violation = _d_sequence_violation(powered.permuted(perm))
             if violation is not None:
                 return UsdVerdict(
                     False,
@@ -367,6 +365,7 @@ ALL_IDENTITIES = (
 )
 
 
+@memo_scope
 def verify_identity_suite(x, n_max, identities=None):
     """Machine verification of the colon/limit/intersection identities that
     hold for unconditioned strong d-sequences, over every exponent vector
@@ -392,7 +391,7 @@ def verify_identity_suite(x, n_max, identities=None):
         detail = fail_detail(*unequal[0]) if unequal else ""
         checks.append(CheckRecord(identity, params, not unequal, detail))
 
-    unit_unmixed = functools.cache(functools.partial(unmixed_part, x.with_exponents((1,) * l)))
+    unit_unmixed = functools.partial(unmixed_part, x.with_exponents((1,) * l))
     limit_identities = [
         name
         for name in ("limit_forms", "limit_product", "limit_decomposition")
@@ -405,7 +404,6 @@ def verify_identity_suite(x, n_max, identities=None):
         xn = x.with_exponents(n)
         eff = xn.effective()
         total = xn.partial_ideal(indices)
-        un = functools.cache(functools.partial(unmixed_part, xn))
 
         if "colon_unmixed" in identities or "colon_power" in identities:
             for delta in proper_subsets:
@@ -415,10 +413,10 @@ def verify_identity_suite(x, n_max, identities=None):
                     by_xj = colon(base, Ideal(R.ring, [x.elements[j - 1]]))
                     if "colon_unmixed" in identities:
                         sum_form = _subset_sum(xn, _subsets(delta, len(delta)), unit_unmixed)
-                        check("colon_unmixed", params, [(un(delta), by_xj), (by_xj, sum_form)])
+                        unmixed = unmixed_part(xn, delta)
+                        check("colon_unmixed", params, [(unmixed, by_xj), (by_xj, sum_form)])
                     if "colon_power" in identities:
-                        power = Ideal(R.ring, [eff[j - 1]])
-                        by_power = colon(base, power) if n[j - 1] > 1 else by_xj
+                        by_power = colon(base, Ideal(R.ring, [eff[j - 1]]))
                         check("colon_power", params, [(by_power, by_xj)])
 
         if limit_identities:
@@ -449,7 +447,7 @@ def verify_identity_suite(x, n_max, identities=None):
 
         if "intersection_unmixed" in identities:
             for lam in proper_subsets:
-                lhs = intersect(un(lam), total)
+                lhs = intersect(unmixed_part(xn, lam), total)
                 rhs = xn.partial_ideal(lam)
                 check("intersection_unmixed", {"n": n, "lambda": lam}, [(lhs, rhs)])
 

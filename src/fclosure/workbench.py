@@ -154,6 +154,8 @@ class SurveyConfig:
     def resolved_lengths(self, t):
         if self.lengths == "all":
             return tuple(range(1, t + 1))
+        if not self.lengths:
+            raise ValueError(f"no subsystem length given; choose from 1..{t}")
         for j in self.lengths:
             if not 1 <= j <= t:
                 raise ValueError(f"subsystem length {j} is outside 1..{t}")

@@ -7,6 +7,7 @@ import pytest
 
 import fclosure.ideals as ideals
 import fclosure.polyring as polyring
+import fclosure.sequences as sequences
 import fclosure.workbench as workbench
 from fclosure.config import EngineConfig
 from fclosure.errors import BudgetExceededError, ColonByZeroWarning, RingMismatchError
@@ -31,6 +32,7 @@ from fclosure.ideals import (
 from fclosure.ideals import _reduce_full, _spoly
 from fclosure.frobenius import QuotientRing
 from fclosure.polyring import PolyRing
+from fclosure.sequences import SequenceSpec
 
 from helpers import linear_membership_oracle, random_ideal, random_nonzero_poly
 
@@ -235,6 +237,16 @@ def test_colon_by_zero_warns(R5):
         out = colon(I, Ideal(R5, []))
     assert out.is_unit()
 
+    @memo_scope
+    def twice():
+        with pytest.warns(ColonByZeroWarning) as record:
+            out = [colon(I, Ideal(R5, [])) for _ in range(2)]
+        return out, record
+
+    out, record = twice()
+    assert len(record) == 2  # the warning is given again inside one scope
+    assert all(o.is_unit() for o in out)
+
 
 def test_intersect_examples(R5, R4):
     assert str(intersect(Ideal(R5, [R5.var("x")]), Ideal(R5, [R5.var("y")]))) == "x*y"
@@ -350,7 +362,7 @@ def _rebuilt(I, rng):
 
 def test_memo_gives_the_unmemoized_results(monkeypatch):
     computed = []
-    for name in ("_buchberger", "_eliminate_intersection"):
+    for name in ("_buchberger", "_eliminate_intersection", "_colon_gens"):
         fn = getattr(ideals, name)
         monkeypatch.setattr(ideals, name, lambda *a, fn=fn: computed.append(1) or fn(*a))
     rng = random.Random(21)
@@ -362,7 +374,8 @@ def test_memo_gives_the_unmemoized_results(monkeypatch):
             before = len(computed)
             basis = groebner_basis(_rebuilt(I, rng))
             meet = intersect(_rebuilt(I, rng), _rebuilt(K, rng))
-            rounds.append((basis, meet.gens, len(computed) - before))
+            quotient = colon(_rebuilt(I, rng), _rebuilt(K, rng))
+            rounds.append((basis, meet.gens, quotient.gens, len(computed) - before))
         return rounds
 
     for p in (2, 3, 5, 7):
@@ -371,8 +384,9 @@ def test_memo_gives_the_unmemoized_results(monkeypatch):
             I = random_ideal(rng, ring, max_gens=3, max_degree=3)
             K = random_ideal(rng, ring, max_gens=2, max_degree=2)
             basis, meet = groebner_basis(_rebuilt(I, rng)), intersect(I, K).gens
-            (b1, m1, n1), (b2, m2, n2) = twice(I, K)
-            assert b1 == b2 == basis and m1 == m2 == meet
+            quotient = colon(I, K).gens
+            (b1, m1, c1, n1), (b2, m2, c2, n2) = twice(I, K)
+            assert b1 == b2 == basis and m1 == m2 == meet and c1 == c2 == quotient
             assert [str(g) for g in b2] == [str(g) for g in basis]
             assert n1 > 0 and n2 == 0  # the second round computed nothing
 
@@ -414,6 +428,21 @@ def test_memo_lives_only_inside_the_outermost_call(monkeypatch):
     with pytest.raises(ValueError):
         workbench.run_suite("nope", R)
     assert ideals._MEMO.get() is None
+
+    # so do the sequence checks that repeat colons, also when called directly
+    equal = sequences.ideal_equal
+    monkeypatch.setattr(
+        sequences, "ideal_equal", lambda I, K: seen.append(ideals._MEMO.get()) or equal(I, K)
+    )
+    x = SequenceSpec(R, [R.ring.parse("x + z"), R.ring.parse("y + w")])
+    for run in (
+        lambda: sequences.is_usd_bounded(x, 1).passed,
+        lambda: sequences.verify_identity_suite(x, 1, ("colon_power",)).all_passed,
+    ):
+        seen.clear()
+        assert run()
+        assert seen and seen[0] is not None and all(memo is seen[0] for memo in seen)
+        assert ideals._MEMO.get() is None
 
 
 def test_memo_does_not_keep_a_budget_failure():

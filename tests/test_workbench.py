@@ -154,12 +154,38 @@ def test_sampler_requires_positive_dimension():
         sample_parameter_ideals(R0, SurveyConfig(sample_count=1))
 
 
-@pytest.mark.parametrize("length", [3, 0])
-def test_survey_rejects_lengths_outside_the_dimension(length):
+@pytest.mark.parametrize(
+    "lengths, message",
+    [
+        pytest.param((3,), "subsystem length 3 is outside 1..2", id="3"),
+        pytest.param((0,), "subsystem length 0 is outside 1..2", id="0"),
+        pytest.param((), "no subsystem length given; choose from 1..2", id="empty"),
+    ],
+)
+def test_survey_rejects_lengths_outside_the_dimension(lengths, message):
     TW = builtin_ring("TWOPLANES")
-    cfg = SurveyConfig(sample_count=2, lengths=(length,))
-    with pytest.raises(ValueError, match=f"subsystem length {length} is outside 1..2"):
+    cfg = SurveyConfig(sample_count=2, lengths=lengths)
+    with pytest.raises(ValueError, match=message):
         survey_uniform_q(TW, cfg)
+
+
+def test_survey_lengths_are_read_like_every_comma_list(capsys):
+    args = ["survey-q", "--ring", "TWOPLANES", "--samples", "4", "--seed", "3", "--json"]
+    assert main([*args, "--j", "1,2"]) == 0
+    expected = capsys.readouterr().out
+    assert main([*args, "--j", "1,,2"]) == 0
+    assert capsys.readouterr().out == expected
+    assert main([*args, "--j", ","]) == 2
+    assert "no subsystem length given; choose from 1..2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, index", [("unmixed", "3"), ("limideal", "0")])
+def test_cli_subset_index_out_of_range(command, index, capsys):
+    args = [command, "--ring", "TWOPLANES", "--seq", "x+z; y+w", "--subset", index]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"sequence index {index} out of range 1..2" in captured.err
 
 
 def test_survey_regular_all_trivial():
