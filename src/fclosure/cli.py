@@ -43,16 +43,26 @@ def _ideal(text, R):
     return R.preimage(_polys(text, R))
 
 
-def _ints(text):
-    return [int(v) for v in text.split(",") if v.strip()]
+def _ints(text, flag):
+    """The integers of the comma list ``text`` given to ``flag``; empty
+    entries are skipped."""
+    out = []
+    for v in text.split(","):
+        if not v.strip():
+            continue
+        try:
+            out.append(int(v))
+        except ValueError:
+            raise ValueError(f"{flag} takes a comma list of integers, not {v.strip()!r}") from None
+    return out
 
 
 def _seq(args, R):
-    return SequenceSpec(R, _polys(args.seq, R), _ints(args.exps) if args.exps else None)
+    return SequenceSpec(R, _polys(args.seq, R), _ints(args.exps, "--exps") if args.exps else None)
 
 
 def _subset(text, length):
-    return list(range(1, length + 1)) if text is None else _ints(text)
+    return list(range(1, length + 1)) if text is None else _ints(text, "--subset")
 
 
 def _result(args, lines, code=0, **fields):
@@ -164,7 +174,7 @@ def _verify(args, R):
 
 
 def _survey_q(args, R):
-    lengths = "all" if args.j == "all" else tuple(_ints(args.j))
+    lengths = "all" if args.j == "all" else tuple(_ints(args.j, "--j"))
     cfg = SurveyConfig(
         sample_count=args.samples,
         seed=args.seed,

@@ -20,6 +20,7 @@ import functools
 import heapq
 import warnings
 from itertools import combinations
+from operator import add, neg, sub
 
 from .errors import BudgetExceededError, ColonByZeroWarning, InternalError, RingMismatchError
 from .polyring import BlockOrder, Polynomial
@@ -71,9 +72,7 @@ def _decode(ring, code):
         for _ in range(count):
             terms.append((code[i : i + n], code[i + n]))
             i += n + 1
-        f = Polynomial(ring, dict(terms))
-        f._sorted = terms
-        polys.append(f)
+        polys.append(_sorted_poly(ring, terms))
     return tuple(polys)
 
 
@@ -147,23 +146,42 @@ def ideal_from_text(text, ring):
 # reduction
 
 
-def _reduce_full(f, basis):
+class _HeapKeys(dict):
+    """Monomial -> heap key: its order key negated, so that a min-heap pops
+    the largest monomial first.  Each key is computed on first use; one
+    table serves one basis computation and is dropped with it."""
+
+    __slots__ = ("_key",)
+
+    def __init__(self, order):
+        super().__init__()
+        self._key = order.key
+
+    def __missing__(self, exps):
+        k = self[exps] = tuple(map(neg, self._key(exps)))
+        return k
+
+
+def _reduce_full(f, basis, keys=None):
     """Fully reduce ``f`` against ``basis`` (a sequence of monic polynomials).
 
     Divisor choice is the first basis element (in the given order) whose
     leading monomial divides the current monomial, which makes the result
     deterministic; against a reduced Groebner basis it is the unique normal
-    form.
+    form.  ``keys`` is the :class:`_HeapKeys` table of the running basis
+    computation, if any.  Terms leave the heap in descending order, so the
+    remainder comes with its terms already sorted.
     """
     if f.is_zero() or not basis:
         return f
     ring = f.ring
     p = ring.p
-    key = ring.order.key
+    if keys is None:
+        keys = _HeapKeys(ring.order)
     heads = [(g.leading_monomial(), g) for g in basis]
     work = dict(f._terms)
-    out = {}
-    heap = [(tuple(-v for v in key(e)), e) for e in work]
+    out = []
+    heap = [(keys[e], e) for e in work]
     heapq.heapify(heap)
     max_deg = ring.config.max_poly_degree
     while heap:
@@ -176,11 +194,11 @@ def _reduce_full(f, basis):
                 break
         else:
             del work[e]
-            out[e] = c
+            out.append((e, c))
             continue
         shift = tuple(a - b for a, b in zip(e, lm))
         for ge, gc in g._terms.items():
-            ee = tuple(a + b for a, b in zip(shift, ge))
+            ee = tuple(map(add, shift, ge))
             s = (work.get(ee, 0) - c * gc) % p
             if s:
                 if ee not in work:
@@ -188,28 +206,49 @@ def _reduce_full(f, basis):
                         raise BudgetExceededError(
                             f"reduction exceeded the degree budget {max_deg}", kind="degree"
                         )
-                    heapq.heappush(heap, (tuple(-v for v in key(ee)), ee))
+                    heapq.heappush(heap, (keys[ee], ee))
                 work[ee] = s
             else:
                 work.pop(ee, None)
-    return Polynomial(ring, out)
+    return _sorted_poly(ring, out)
+
+
+def _sorted_poly(ring, terms):
+    """The polynomial with the (exponents, coefficient) pairs ``terms``,
+    which are already descending in the ring order."""
+    f = Polynomial(ring, dict(terms))
+    f._sorted = terms
+    return f
 
 
 def _monic(f):
-    c = f.leading_coeff()
+    """``f`` scaled to leading coefficient 1, keeping its sorted terms."""
+    terms = f.terms_sorted()
+    c = terms[0][1]
     if c == 1:
         return f
-    return f * pow(c, f.ring.p - 2, f.ring.p)
+    p = f.ring.p
+    inv = pow(c, p - 2, p)
+    return _sorted_poly(f.ring, [(e, v * inv % p) for e, v in terms])
 
 
 def _spoly(f, g):
-    """The S-polynomial of the monic polynomials ``f`` and ``g``."""
+    """The S-polynomial m_f*f - m_g*g of the monic polynomials ``f`` and
+    ``g``, built from their term dicts."""
     lf, lg = f.leading_monomial(), g.leading_monomial()
-    lcm = tuple(max(a, b) for a, b in zip(lf, lg))
-    mf = tuple(a - b for a, b in zip(lcm, lf))
-    mg = tuple(a - b for a, b in zip(lcm, lg))
-    ring = f.ring
-    return ring.monomial(mf) * f - ring.monomial(mg) * g
+    lcm = tuple(map(max, lf, lg))
+    mf = tuple(map(sub, lcm, lf))
+    mg = tuple(map(sub, lcm, lg))
+    p = f.ring.p
+    terms = {tuple(map(add, mf, e)): c for e, c in f._terms.items()}
+    for e, c in g._terms.items():
+        e = tuple(map(add, mg, e))
+        s = (terms.get(e, 0) - c) % p
+        if s:
+            terms[e] = s
+        else:
+            terms.pop(e, None)
+    return Polynomial(f.ring, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +260,11 @@ def groebner_basis(ideal):
     :func:`memo_scope` call, on the ring and generators unless the ring
     has auxiliary variables.
 
+    On a ring from :meth:`~fclosure.polyring.PolyRing.extended` the result
+    is the elimination basis: the reduced basis of the ideal's intersection
+    with the polynomials free of the auxiliary variables, which are exactly
+    the aux-free elements of the full reduced basis.
+
     Buchberger with the coprime-leading-term and chain criteria, normal
     pair-selection strategy (smallest lcm in the ring order, then input
     position).
@@ -231,11 +275,14 @@ def groebner_basis(ideal):
 
 
 def _buchberger(ideal):
-    """Compute the reduced basis of ``ideal``.  Every element enters the
-    working basis monic, so no reduction divides by a leading coefficient."""
+    """Compute the reduced basis of ``ideal`` (its elimination basis on a
+    block-order ring).  Every element enters the working basis monic, so no
+    reduction divides by a leading coefficient; one heap-key table serves
+    every reduction of the run."""
     ring = ideal.ring
     config = ring.config
     key = ring.order.key
+    keys = _HeapKeys(ring.order)
 
     G = []
     lms = []
@@ -246,16 +293,19 @@ def _buchberger(ideal):
         lj = lms[j]
         for i in range(j):
             li = lms[i]
-            lcm = tuple(max(a, b) for a, b in zip(li, lj))
-            if lcm == tuple(a + b for a, b in zip(li, lj)):
+            lcm = tuple(map(max, li, lj))
+            if lcm == tuple(map(add, li, lj)):
                 continue  # coprime leading terms: s-poly reduces to zero
             pending.add((i, j))
             heapq.heappush(heap, (key(lcm), i, j, lcm))
 
-    for f in ideal.gens:
+    def enter(f):
         G.append(_monic(f))
         lms.append(f.leading_monomial())
         push_pairs(len(G) - 1)
+
+    for f in ideal.gens:
+        enter(f)
 
     processed = 0
     while heap:
@@ -279,44 +329,54 @@ def _buchberger(ideal):
                     break
         if skip:
             continue
-        h = _reduce_full(_spoly(G[i], G[j]), G)
+        h = _reduce_full(_spoly(G[i], G[j]), G, keys)
         if h.is_zero():
             continue
         if len(G) >= config.max_basis_size:
             raise BudgetExceededError(
                 f"Groebner basis size budget {config.max_basis_size} exceeded", kind="basis"
             )
-        G.append(_monic(h))
-        lms.append(h.leading_monomial())
-        push_pairs(len(G) - 1)
+        enter(h)
 
-    return _interreduce(G)
+    split = ring.order.split if isinstance(ring.order, BlockOrder) else None
+    return _interreduce(G, keys, split)
 
 
-def _interreduce(G):
+def _interreduce(G, keys=None, split=None):
     """Minimalize then tail-reduce a monic Groebner basis into the reduced
-    basis (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 2 §7)."""
+    basis (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 2 §7).
+
+    With ``split`` set (an elimination order whose variables from index
+    ``split`` on are auxiliary), only the minimal elements free of the
+    auxiliary variables are tail-reduced and returned.  Their terms are
+    divisible by no other element's leading monomial, so they are the
+    reduced basis of the elimination ideal."""
     if not G:
         return ()
-    ring = G[0].ring
-    key = ring.order.key
-    # minimal: drop any element whose leading monomial is divisible by another's
-    order = sorted(range(len(G)), key=lambda i: key(G[i].leading_monomial()))
+    if keys is None:
+        keys = _HeapKeys(G[0].ring.order)
+    # minimal: drop any element whose leading monomial is divisible by
+    # another's, scanning ascending in the order (descending heap key)
+    order = sorted(range(len(G)), key=lambda i: keys[G[i].leading_monomial()], reverse=True)
     kept = []
+    heads = []
     for i in order:
         lm = G[i].leading_monomial()
-        if any(all(a >= b for a, b in zip(lm, g.leading_monomial())) for g in kept):
+        if any(all(a >= b for a, b in zip(lm, h)) for h in heads):
             continue
         kept.append(G[i])
+        heads.append(lm)
+    if split is not None:
+        kept = [g for g, lm in zip(kept, heads) if not any(lm[split:])]
     # one pass suffices: a minimal basis keeps its leading monomials (and
     # leading coefficient 1) under reduction, so a later replacement cannot
     # make an earlier remainder reducible again
     for i, g in enumerate(kept):
-        r = _reduce_full(g, kept[:i] + kept[i + 1 :])
+        r = _reduce_full(g, kept[:i] + kept[i + 1 :], keys)
         if r.is_zero():
             raise InternalError("minimal basis element reduced to zero")
         kept[i] = r
-    kept.sort(key=lambda g: key(g.leading_monomial()), reverse=True)
+    kept.sort(key=lambda g: keys[g.leading_monomial()])
     return tuple(kept)
 
 
@@ -379,22 +439,21 @@ def intersect(I, K):
     if not I.gens or not K.gens:
         return Ideal(ring, [])
     gens = _reused("meet", ring, (I.gens, K.gens), lambda: _eliminate_intersection(I, K))
-    return Ideal(ring, gens)
+    meet = Ideal(ring, gens)
+    meet._basis = meet.gens  # already the reduced basis of I intersect K
+    return meet
 
 
 def _eliminate_intersection(I, K):
-    """Generators of I intersect K: the aux-free part of the elimination
-    basis, projected back to the ring of I and K."""
+    """The reduced basis of I intersect K: the elimination basis of
+    t*I + (1-t)*K, projected back to the ring of I and K."""
     ring = I.ring
     big = ring.extended(1)
     t = big.var(big.variables[-1])
     one_minus_t = big.one - t
     gens = [t * ring.lift(g, big) for g in I.gens]
     gens += [one_minus_t * ring.lift(g, big) for g in K.gens]
-    basis = groebner_basis(Ideal(big, gens))
-    n = len(ring.variables)
-    kept = [g for g in basis if all(not any(e[n:]) for e in g._terms)]
-    return [ring.project(g) for g in kept]
+    return tuple(ring.project(g) for g in groebner_basis(Ideal(big, gens)))
 
 
 def _exact_quotient(h, g):

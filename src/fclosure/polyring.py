@@ -12,6 +12,7 @@ because coefficients live in the prime field, where c**p == c.
 from __future__ import annotations
 
 import re
+from operator import neg
 
 from .config import DEFAULT_CONFIG
 from .errors import ExponentOverflowError, ParseError, RingMismatchError
@@ -52,7 +53,7 @@ class MonomialOrder:
     def key(self, exps):
         if self.kind == "grevlex":
             # higher total degree wins; ties: smaller last differing exponent wins
-            return (sum(exps),) + tuple(-e for e in reversed(exps))
+            return (sum(exps), *map(neg, exps[::-1]))
         return tuple(exps)
 
     def __eq__(self, other):
@@ -81,8 +82,8 @@ class BlockOrder(MonomialOrder):
         self.split = split  # number of leading (kept) variables
 
     def key(self, exps):
-        head, tail = exps[: self.split], exps[self.split :]
-        return (sum(tail),) + tuple(-e for e in reversed(tail)) + self.base.key(head)
+        tail = exps[self.split :]
+        return (sum(tail), *map(neg, tail[::-1]), *self.base.key(exps[: self.split]))
 
     def __eq__(self, other):
         return (
@@ -187,6 +188,11 @@ class PolyRing:
     def extended(self, n_aux):
         """Ring with ``n_aux`` dominant auxiliary variables appended.
 
+        Its block order eliminates them: on this ring
+        :func:`~fclosure.ideals.groebner_basis` returns the reduced basis of
+        the elimination ideal (the aux-free elements of the full reduced
+        basis) and nothing else.
+
         Built without re-validating: the modulus was checked when this ring
         was, and the auxiliary names are valid and new."""
         aux = []
@@ -211,14 +217,19 @@ class PolyRing:
         return Polynomial(big, {exps + pad: c for exps, c in f._terms.items()})
 
     def project(self, f):
-        """Drop auxiliary exponents of an aux-free polynomial of an extension."""
+        """Drop auxiliary exponents of an aux-free polynomial of an extension.
+
+        The extension orders aux-free monomials by this ring's order, so the
+        result keeps ``f``'s sorted terms."""
         n = len(self.variables)
-        terms = {}
-        for exps, c in f._terms.items():
+        terms = []
+        for exps, c in f.terms_sorted():
             if any(exps[n:]):
                 raise ValueError("polynomial involves auxiliary variables")
-            terms[exps[:n]] = c
-        return Polynomial(self, terms)
+            terms.append((exps[:n], c))
+        g = Polynomial(self, dict(terms))
+        g._sorted = terms
+        return g
 
     # -- identity ----------------------------------------------------------
 

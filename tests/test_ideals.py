@@ -82,7 +82,9 @@ def test_interreduce_reduces_each_kept_element_once(monkeypatch):
     # the reduced basis comes from one pass over the minimal basis
     calls = []
     reduce_full = ideals._reduce_full
-    monkeypatch.setattr(ideals, "_reduce_full", lambda f, basis: calls.append(f) or reduce_full(f, basis))
+    monkeypatch.setattr(
+        ideals, "_reduce_full", lambda f, basis, *rest: calls.append(f) or reduce_full(f, basis, *rest)
+    )
     R = PolyRing(5, ["x", "y"])
     G = [R.parse(text) for text in ("x + y", "y", "x*y + y^2")]
     assert [str(g) for g in ideals._interreduce(G)] == ["x", "y"]
@@ -91,9 +93,9 @@ def test_interreduce_reduces_each_kept_element_once(monkeypatch):
     interreduce = ideals._interreduce
     counts = []
 
-    def counted(G):
+    def counted(G, *rest):
         before = len(calls)
-        basis = interreduce(G)
+        basis = interreduce(G, *rest)
         counts.append((len(calls) - before, len(basis)))
         return basis
 
@@ -105,6 +107,15 @@ def test_interreduce_reduces_each_kept_element_once(monkeypatch):
             groebner_basis(random_ideal(rng, ring, max_gens=3, max_degree=3, max_terms=3))
     assert all(made == kept for made, kept in counts)
     assert any(kept > 1 for _, kept in counts)
+    # on an elimination ring: one reduction per kept aux-free element, none
+    # for the minimal elements that involve the auxiliary variable
+    counts.clear()
+    big = R.extended(1)
+    t = big.var(big.variables[-1])
+    I = Ideal(big, [t * big.parse("x^2"), (big.one - t) * big.parse("x*y + y^2")])
+    basis = groebner_basis(I)
+    assert [str(g) for g in basis] == ["x^3*y + x^2*y^2"]
+    assert counts == [(1, 1)]
 
 
 def test_groebner_matches_sympy_oracle():
@@ -258,6 +269,91 @@ def test_intersect_examples(R5, R4):
     K = random_ideal(random.Random(4), R5, max_gens=2, max_degree=3)
     meet = intersect(I, K)
     assert ideal_contains(I, meet) and ideal_contains(K, meet)
+
+
+def test_intersect_sets_the_reduced_basis():
+    # the kept part of the elimination basis is already the reduced basis of
+    # I intersect K, with or without the call-scoped memo
+    rng = random.Random(31)
+
+    @memo_scope
+    def memoized(I, K):
+        return [intersect(I, K)._basis for _ in range(2)]
+
+    for p in (2, 3, 5):
+        ring = PolyRing(p, "xyz")
+        for _ in range(5):
+            I = random_ideal(rng, ring, max_gens=2, max_degree=3, max_terms=3)
+            K = random_ideal(rng, ring, max_gens=2, max_degree=2, max_terms=3)
+            meet = intersect(I, K)
+            fresh = groebner_basis(Ideal(ring, meet.gens))
+            assert meet._basis == fresh
+            assert memoized(I, K) == [fresh, fresh]
+
+
+def test_elimination_basis_is_the_aux_free_part(monkeypatch):
+    # groebner_basis on an extended ring keeps the aux-free elements of the
+    # full reduced basis, which plain _interreduce builds from the same run
+    interreduce = ideals._interreduce
+    runs = []
+    monkeypatch.setattr(ideals, "_interreduce", lambda G, *rest: runs.append(G) or interreduce(G, *rest))
+    rng = random.Random(32)
+    dropped = 0
+    for p in (2, 3, 5):
+        big = PolyRing(p, "xyz").extended(1)
+        n = big.order.split
+        for _ in range(6):
+            runs.clear()
+            basis = groebner_basis(random_ideal(rng, big, max_gens=3, max_degree=3, max_terms=3))
+            full = interreduce(runs[0])
+            kept = tuple(g for g in full if not any(g.leading_monomial()[n:]))
+            assert basis == kept
+            assert all(not any(e[n:]) for g in basis for e in g._terms)
+            dropped += len(full) - len(kept)
+    assert dropped  # some runs had aux elements to drop
+
+
+def test_intersect_matches_sympy_elimination():
+    # sympy's lex basis of t*I + (1-t)*K with t first, cut to its t-free
+    # elements, has the same reduced grevlex basis as our intersection
+    sympy = pytest.importorskip("sympy")
+    names = ["x", "y", "z"]
+    syms = sympy.symbols(names)
+    t = sympy.Symbol("t")
+    rng = random.Random(33)
+
+    def expr(g):
+        return sum(c * sympy.prod(s**k for s, k in zip(syms, e)) for e, c in g._terms.items())
+
+    for p in (2, 3, 5):
+        ring = PolyRing(p, names)
+        for _ in range(4):
+            I = random_ideal(rng, ring, max_gens=2, max_degree=2, max_terms=3)
+            K = random_ideal(rng, ring, max_gens=2, max_degree=2, max_terms=3)
+            gens = [t * expr(g) for g in I.gens] + [(1 - t) * expr(g) for g in K.gens]
+            lex = sympy.groebner(gens, t, *syms, modulus=p, order="lex")
+            kept = [g for g in lex.exprs if t not in g.free_symbols]
+            theirs = sympy.groebner(kept, *syms, modulus=p, order="grevlex")
+            expected = {frozenset((e, int(c) % p) for e, c in g.terms()) for g in theirs.polys}
+            assert {frozenset(g._terms.items()) for g in intersect(I, K).basis()} == expected
+
+
+# order-key calls of the fixed job below, measured when each basis
+# computation got one key table (the parent engine made 12299)
+ORDER_KEY_CALLS = 5864
+
+
+def test_order_key_calls_stay_within_the_gate(monkeypatch):
+    # a deterministic work counter, not a time: one identity suite over
+    # F_5[x,y,z] may evaluate the order keys at most ORDER_KEY_CALLS times
+    R = workbench.builtin_ring("REG", p=5)
+    x = SequenceSpec(R, [R.ring.parse(t) for t in ("x + y*z", "y + z^2", "z + x^2")])
+    calls = []
+    for cls in (polyring.MonomialOrder, polyring.BlockOrder):
+        key = cls.key
+        monkeypatch.setattr(cls, "key", lambda self, exps, key=key: calls.append(1) or key(self, exps))
+    assert sequences.verify_identity_suite(x, 1).all_passed
+    assert len(calls) <= ORDER_KEY_CALLS
 
 
 def test_saturate_examples(R5):

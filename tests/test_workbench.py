@@ -188,6 +188,21 @@ def test_cli_subset_index_out_of_range(command, index, capsys):
     assert f"sequence index {index} out of range 1..2" in captured.err
 
 
+@pytest.mark.parametrize(
+    "args, flag, entry",
+    [
+        (["unmixed", "--seq", "x+z; y+w", "--subset", "a"], "--subset", "a"),
+        (["usd", "--seq", "x+z; y+w", "--exps", "1,b"], "--exps", "b"),
+        (["survey-q", "--samples", "2", "--j", "1,x"], "--j", "x"),
+    ],
+)
+def test_cli_comma_list_names_a_bad_entry(args, flag, entry, capsys):
+    assert main([*args, "--ring", "TWOPLANES"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {flag} takes a comma list of integers, not {entry!r}" in captured.err
+
+
 def test_survey_regular_all_trivial():
     REG = builtin_ring("REG", p=3)
     report = survey_uniform_q(REG, SurveyConfig(sample_count=6, seed=2, lengths=(1, 3)))
