@@ -19,8 +19,8 @@ import contextvars
 import functools
 import heapq
 import warnings
-from itertools import combinations
-from operator import add, neg, sub
+from itertools import combinations, groupby
+from operator import add, ge, itemgetter, neg, sub
 
 from .errors import BudgetExceededError, ColonByZeroWarning, InternalError, RingMismatchError
 from .polyring import BlockOrder, Polynomial
@@ -110,7 +110,7 @@ class Ideal:
             if g.ring != ring:
                 raise RingMismatchError("generator lies in a different ring")
         self.ring = ring
-        self.gens = tuple(sorted(gens, key=lambda g: g.sort_key(), reverse=True))
+        self.gens = _canonical_order(ring.order, gens)
         self._basis = None
 
     def basis(self):
@@ -134,6 +134,25 @@ class Ideal:
 
     def __repr__(self):
         return f"Ideal({self})"
+
+
+def _canonical_order(order, gens):
+    """``gens`` descending by :meth:`~fclosure.polyring.Polynomial.sort_key`.
+
+    That key starts with the order key of the leading monomial, so the
+    generators are sorted by that one key each, and the full key is
+    evaluated only among generators with the same leading monomial."""
+    if len(gens) < 2:
+        return gens
+    lead = [(order.key(g.leading_monomial()), g) for g in gens]
+    lead.sort(key=itemgetter(0), reverse=True)
+    out = []
+    for _, tied in groupby(lead, key=itemgetter(0)):
+        tied = [g for _, g in tied]
+        if len(tied) > 1:
+            tied.sort(key=Polynomial.sort_key, reverse=True)
+        out.extend(tied)
+    return tuple(out)
 
 
 def ideal_from_text(text, ring):
@@ -190,15 +209,15 @@ def _reduce_full(f, basis, keys=None):
         if not c:
             continue
         for lm, g in heads:
-            if all(a >= b for a, b in zip(e, lm)):
+            if all(map(ge, e, lm)):
                 break
         else:
             del work[e]
             out.append((e, c))
             continue
-        shift = tuple(a - b for a, b in zip(e, lm))
-        for ge, gc in g._terms.items():
-            ee = tuple(map(add, shift, ge))
+        shift = tuple(map(sub, e, lm))
+        for g_e, gc in g._terms.items():
+            ee = tuple(map(add, shift, g_e))
             s = (work.get(ee, 0) - c * gc) % p
             if s:
                 if ee not in work:
@@ -321,7 +340,7 @@ def _buchberger(ideal):
         for k in range(len(G)):
             if k == i or k == j:
                 continue
-            if all(a >= b for a, b in zip(lcm, lms[k])):
+            if all(map(ge, lcm, lms[k])):
                 pik = (min(i, k), max(i, k))
                 pjk = (min(j, k), max(j, k))
                 if pik not in pending and pjk not in pending:
@@ -362,7 +381,7 @@ def _interreduce(G, keys=None, split=None):
     heads = []
     for i in order:
         lm = G[i].leading_monomial()
-        if any(all(a >= b for a, b in zip(lm, h)) for h in heads):
+        if any(all(map(ge, lm, h)) for h in heads):
             continue
         kept.append(G[i])
         heads.append(lm)
@@ -449,30 +468,51 @@ def _eliminate_intersection(I, K):
     t*I + (1-t)*K, projected back to the ring of I and K."""
     ring = I.ring
     big = ring.extended(1)
-    t = big.var(big.variables[-1])
-    one_minus_t = big.one - t
-    gens = [t * ring.lift(g, big) for g in I.gens]
-    gens += [one_minus_t * ring.lift(g, big) for g in K.gens]
+    p = ring.p
+    # t dominates the block order, so t*g keeps the term order of g, and
+    # the terms of (1-t)*g are those of -t*g followed by those of g
+    gens = [_sorted_poly(big, [(e + (1,), c) for e, c in g.terms_sorted()]) for g in I.gens]
+    for g in K.gens:
+        terms = g.terms_sorted()
+        minus_t_g = [(e + (1,), p - c) for e, c in terms]
+        gens.append(_sorted_poly(big, minus_t_g + [(e + (0,), c) for e, c in terms]))
     return tuple(ring.project(g) for g in groebner_basis(Ideal(big, gens)))
 
 
 def _exact_quotient(h, g):
-    """The quotient h / g for h in (g); remainder must vanish."""
+    """The quotient h / g for h in (g), by one division driven by a heap
+    as in :func:`_reduce_full`; a nonzero remainder raises
+    :class:`InternalError`.  The quotient's terms are found in descending
+    order, so it comes with them already sorted."""
     ring = h.ring
     p = ring.p
-    lm = g.leading_monomial()
-    lc_inv = pow(g.leading_coeff(), p - 2, p)
-    quo = {}
-    rem = h
-    while not rem.is_zero():
-        e = rem.leading_monomial()
-        if not all(a >= b for a, b in zip(e, lm)):
+    keys = _HeapKeys(ring.order)
+    lm, lc = g.terms_sorted()[0]
+    lc_inv = pow(lc, p - 2, p)
+    work = dict(h._terms)
+    heap = [(keys[e], e) for e in work]
+    heapq.heapify(heap)
+    quo = []
+    while heap:
+        _, e = heapq.heappop(heap)
+        c = work.get(e)
+        if not c:
+            continue
+        if not all(map(ge, e, lm)):
             raise InternalError("exact division left a nonzero remainder")
-        shift = tuple(a - b for a, b in zip(e, lm))
-        factor = (rem.leading_coeff() * lc_inv) % p
-        quo[shift] = factor
-        rem = rem - ring.monomial(shift, factor) * g
-    return ring.poly(quo)
+        shift = tuple(map(sub, e, lm))
+        factor = c * lc_inv % p
+        quo.append((shift, factor))
+        for g_e, gc in g._terms.items():
+            ee = tuple(map(add, shift, g_e))
+            s = (work.get(ee, 0) - factor * gc) % p
+            if s:
+                if ee not in work:
+                    heapq.heappush(heap, (keys[ee], ee))
+                work[ee] = s
+            else:
+                work.pop(ee, None)
+    return _sorted_poly(ring, quo)
 
 
 def colon(I, K):

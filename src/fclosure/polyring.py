@@ -82,8 +82,19 @@ class BlockOrder(MonomialOrder):
         self.split = split  # number of leading (kept) variables
 
     def key(self, exps):
-        tail = exps[self.split :]
-        return (sum(tail), *map(neg, tail[::-1]), *self.base.key(exps[: self.split]))
+        # the base order's part is built here, not by a second key call: a
+        # block base peels its own aux block the same way, and the last base
+        # is grevlex or lex, keyed exactly as MonomialOrder.key keys it
+        split, base = self.split, self.base
+        tail, head = exps[split:], exps[:split]
+        part = (sum(tail), *map(neg, tail[::-1]))
+        while base.kind == "block":
+            split, base = base.split, base.base
+            tail, head = head[split:], head[:split]
+            part += (sum(tail), *map(neg, tail[::-1]))
+        if base.kind == "grevlex":
+            return (*part, sum(head), *map(neg, head[::-1]))
+        return (*part, *head)
 
     def __eq__(self, other):
         return (

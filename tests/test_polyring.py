@@ -1,11 +1,13 @@
 """Polynomial arithmetic, parsing, monomial orders, Frobenius decomposition."""
 
 import random
+from itertools import product
 
 import pytest
 
 from fclosure.errors import ExponentOverflowError, ParseError, RingMismatchError
 from fclosure.polyring import (
+    BlockOrder,
     MonomialOrder,
     PolyRing,
     frobenius_decompose,
@@ -95,6 +97,24 @@ def test_monomial_order_is_total_and_multiplicative(kind):
         # 1 is minimal
         if any(a):
             assert monomial_compare(a, (0, 0, 0), order) == 1
+
+
+def _composed_key(order, exps):
+    # the block order by its definition: the aux tail by grevlex, then the
+    # head by the base order's own key
+    if isinstance(order, BlockOrder):
+        head, tail = exps[: order.split], exps[order.split :]
+        return (sum(tail), *(-a for a in reversed(tail)), *_composed_key(order.base, head))
+    return order.key(exps)
+
+
+@pytest.mark.parametrize("kind", ["grevlex", "lex"])
+def test_block_key_equals_its_composed_definition(kind):
+    ring = PolyRing(3, ["x", "y"], order=kind)
+    for big in (ring.extended(1), ring.extended(2), ring.extended(1).extended(1)):
+        order = big.order
+        for exps in product(range(3), repeat=len(big.variables)):
+            assert order.key(exps) == _composed_key(order, exps)
 
 
 def test_canonical_form_round_trip():
