@@ -245,6 +245,8 @@ class PolyRing:
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other):
+        if self is other:
+            return True  # nearly every comparison: an ideal against its own ring
         return (
             isinstance(other, PolyRing)
             and self.p == other.p

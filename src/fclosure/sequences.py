@@ -76,11 +76,16 @@ class SequenceSpec:
         return SequenceSpec(self.R, self.elements, exponents)
 
     def permuted(self, perm):
-        return SequenceSpec(
+        """The sequence reordered by ``perm``; its powers are this
+        sequence's powers, reordered, not computed again."""
+        out = SequenceSpec(
             self.R,
             tuple(self.elements[i] for i in perm),
             tuple(self.exponents[i] for i in perm),
         )
+        eff = self.effective()
+        out._effective = tuple(eff[i] for i in perm)
+        return out
 
     def _check_subset(self, subset):
         for i in subset:
@@ -142,15 +147,30 @@ def is_subsystem_of_parameters(x):
 # d-sequences
 
 
+def _colon_by_power(I, f, m):
+    """(I : f**m) as ``m`` colons by ``f``, one at a time, by the identity
+    (I : ab) = ((I : a) : b) (Cox-Little-O'Shea, ch. 4 §4).  Each link
+    divides by the low-degree ``f``, and the memo shares the links between
+    chains."""
+    divisor = Ideal(I.ring, [f])
+    for _ in range(m):
+        I = colon(I, divisor)
+    return I
+
+
 def _d_sequence_violation(x):
-    """The first pair (j, k) violating the d-sequence condition, or None."""
-    eff = x.effective()
+    """The first pair (j, k) violating the d-sequence condition, or None.
+
+    Both colons are iterated by the raw elements: (prefix : x_k**n_k) by
+    x_k, n_k times, and the pair colon (prefix : x_{j+1}**n_{j+1} x_k**n_k)
+    as that one divided on by x_{j+1}, n_{j+1} times."""
     l = x.length
+    elements, exponents = x.elements, x.exponents
     for j in range(l):
         prefix = x.prefix_ideal(j)
         for k in range(j + 1, l + 1):
-            by_pair = colon(prefix, Ideal(prefix.ring, [eff[j] * eff[k - 1]]))
-            if not ideal_equal(by_pair, colon(prefix, Ideal(prefix.ring, [eff[k - 1]]))):
+            by_k = _colon_by_power(prefix, elements[k - 1], exponents[k - 1])
+            if not ideal_equal(_colon_by_power(by_k, elements[j], exponents[j]), by_k):
                 return j, k
     return None
 
@@ -179,8 +199,10 @@ class UsdVerdict:
 @memo_scope
 def is_usd_bounded(x, n_max):
     """Test every permutation of (x_1**m_1, ..., x_l**m_l) for every
-    exponent vector in [1, n_max]^l against the d-sequence condition; the
-    colons repeated across them are computed once."""
+    exponent vector in [1, n_max]^l against the d-sequence condition.  Each
+    colon by a power or a product of the powers is iterated by the raw
+    elements, one at a time (see :func:`_colon_by_power`), so the colons
+    repeated across exponent vectors and permutations are computed once."""
     l = x.length
     cap = x.R.ring.config.usd_length_cap
     if l > cap:
@@ -402,7 +424,6 @@ def verify_identity_suite(x, n_max, identities=None):
 
     for n in itertools.product(range(1, n_max + 1), repeat=l):
         xn = x.with_exponents(n)
-        eff = xn.effective()
         total = xn.partial_ideal(indices)
 
         if "colon_unmixed" in identities or "colon_power" in identities:
@@ -416,7 +437,8 @@ def verify_identity_suite(x, n_max, identities=None):
                         unmixed = unmixed_part(xn, delta)
                         check("colon_unmixed", params, [(unmixed, by_xj), (by_xj, sum_form)])
                     if "colon_power" in identities:
-                        by_power = colon(base, Ideal(R.ring, [eff[j - 1]]))
+                        # (base : x_j**n_j), iterated on from (base : x_j)
+                        by_power = _colon_by_power(by_xj, x.elements[j - 1], n[j - 1] - 1)
                         check("colon_power", params, [(by_power, by_xj)])
 
         if limit_identities:
@@ -441,7 +463,7 @@ def verify_identity_suite(x, n_max, identities=None):
         if "intersection_prefix" in identities:
             for r in range(l):
                 prefix = xn.prefix_ideal(r)
-                quotient = colon(prefix, Ideal(R.ring, [eff[r]]))
+                quotient = _colon_by_power(prefix, x.elements[r], n[r])
                 lhs = intersect(quotient, total)
                 check("intersection_prefix", {"n": n, "r": r}, [(lhs, prefix)])
 

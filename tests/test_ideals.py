@@ -338,24 +338,44 @@ def test_intersect_matches_sympy_elimination():
             assert {frozenset(g._terms.items()) for g in intersect(I, K).basis()} == expected
 
 
-# order-key calls of the fixed job below, measured when generators came to
-# be ordered by their leading monomials, exact division and intersection
-# generators stopped re-sorting terms and block keys stopped calling their
-# base order's key (5864 before, 12299 before one key table per basis)
-ORDER_KEY_CALLS = 2501
+# order-key calls of the fixed job below, measured when colons by powers
+# and products of sequence elements came to be iterated by the raw
+# elements (2501 before, 5864 before generators were ordered by their
+# leading monomials, 12299 before one key table per basis)
+ORDER_KEY_CALLS = 1834
+
+# Buchberger runs of the USD box check below, measured when its colons came
+# to be iterated by the raw elements (119 before)
+USD_BUCHBERGER_RUNS = 49
+
+
+def _reg_sop():
+    R = workbench.builtin_ring("REG", p=5)
+    return SequenceSpec(R, [R.ring.parse(t) for t in ("x + y*z", "y + z^2", "z + x^2")])
 
 
 def test_order_key_calls_stay_within_the_gate(monkeypatch):
     # a deterministic work counter, not a time: one identity suite over
     # F_5[x,y,z] may evaluate the order keys at most ORDER_KEY_CALLS times
-    R = workbench.builtin_ring("REG", p=5)
-    x = SequenceSpec(R, [R.ring.parse(t) for t in ("x + y*z", "y + z^2", "z + x^2")])
+    x = _reg_sop()
     calls = []
     for cls in (polyring.MonomialOrder, polyring.BlockOrder):
         key = cls.key
         monkeypatch.setattr(cls, "key", lambda self, exps, key=key: calls.append(1) or key(self, exps))
     assert sequences.verify_identity_suite(x, 1).all_passed
     assert len(calls) <= ORDER_KEY_CALLS
+
+
+def test_usd_buchberger_runs_stay_within_the_gate(monkeypatch):
+    # a deterministic work counter, not a time: the USD box check of the
+    # same sequence at n_max = 2 may run Buchberger at most
+    # USD_BUCHBERGER_RUNS times
+    x = _reg_sop()
+    runs = []
+    buchberger = ideals._buchberger
+    monkeypatch.setattr(ideals, "_buchberger", lambda ideal: runs.append(1) or buchberger(ideal))
+    assert sequences.is_usd_bounded(x, 2).passed
+    assert len(runs) <= USD_BUCHBERGER_RUNS
 
 
 def test_saturate_examples(R5):

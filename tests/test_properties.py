@@ -1,5 +1,6 @@
 """Property tests for the ideal operations: intersections lie in both
-ideals, colons multiply back into the dividend, membership does not depend
+ideals, colons multiply back into the dividend, a colon by a product or a
+power equals the chain of colons by its factors, membership does not depend
 on the monomial order, exact division inverts multiplication, generators
 come in their canonical order, presorted terms are sorted, and Frobenius
 preimage generators satisfy their certificate.  Derandomized, so every run
@@ -19,11 +20,15 @@ from fclosure.ideals import (  # noqa: E402
     Ideal,
     colon,
     ideal_contains,
+    ideal_equal,
     ideal_member,
+    ideal_sum,
     intersect,
     normal_form,
+    scale_ideal,
 )
 from fclosure.polyring import Polynomial, PolyRing  # noqa: E402
+from fclosure.sequences import _colon_by_power  # noqa: E402
 
 PRIMES = (2, 3, 5)
 NAMES = ("x", "y", "z")
@@ -68,6 +73,21 @@ def test_colon_times_divisor_lies_in_dividend(p, i_gens, k_gens):
         return  # colon by the zero ideal is the unit ideal by convention
     quotient = colon(I, K)
     assert all(ideal_member(g * k, I) for g in quotient.gens for k in K.gens)
+
+
+@CASES
+@given(st.sampled_from(PRIMES), IDEAL, IDEAL, TERMS, TERMS, st.integers(0, 2), st.integers(1, 3))
+def test_colon_by_a_product_or_power_is_the_chain_of_colons(p, i_gens, k_gens, a_terms, b_terms, k, n):
+    # (I : ab) = ((I : a) : b) and (I : a^n) = (I : a) iterated n times;
+    # the dividend a^k*I + K keeps (I : a^n) from being the same for every n
+    ring = RINGS[p, "grevlex"]
+    a, b = _poly(ring, a_terms), _poly(ring, b_terms)
+    if a.is_zero() or b.is_zero():
+        return  # colon by the zero ideal is the unit ideal by convention
+    I = ideal_sum(scale_ideal(a**k, _ideal(ring, i_gens)), _ideal(ring, k_gens))
+    by_a = colon(I, Ideal(ring, [a]))
+    assert ideal_equal(colon(by_a, Ideal(ring, [b])), colon(I, Ideal(ring, [a * b])))
+    assert ideal_equal(_colon_by_power(I, a, n), colon(I, Ideal(ring, [a**n])))
 
 
 @CASES

@@ -89,7 +89,9 @@ def test_d_sequence_examples(TW, REG, XY):
 def test_usd_bounded(TW, REG, XY):
     assert is_usd_bounded(SequenceSpec(REG, list(REG.ring.gens())), 2).passed
     verdict = is_usd_bounded(SequenceSpec(XY, [XY.ring.var("x"), XY.ring.var("y")]), 1)
-    assert not verdict.passed and verdict.witness["pair"] is not None
+    # the first witness: identity exponents and order, (0 : xy) != (0 : y)
+    assert not verdict.passed
+    assert verdict.witness == {"exponents": (1, 1), "permutation": (0, 1), "pair": (0, 2)}
     assert is_usd_bounded(twoplanes_sop(TW), 3).passed
 
 
