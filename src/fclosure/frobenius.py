@@ -371,10 +371,19 @@ class ClosureResult:
     chain: list = field(default_factory=list)
 
 
+def _check_e_max(e_max):
+    if e_max < 0:
+        raise ValueError(f"the largest exponent e_max must be non-negative, not {e_max}")
+
+
 @memo_scope
 def frobenius_closure(a, R, e_max=5, lookahead=2):
     """Ascending chain F_e = {r : r**(p**e) in a^[p**e] + J}, stopped after
-    ``lookahead`` consecutive equal values or at ``e_max``."""
+    ``lookahead`` consecutive equal values or at ``e_max``.  Raises
+    ``ValueError`` unless ``e_max >= 0`` and ``lookahead >= 1``."""
+    _check_e_max(e_max)
+    if lookahead < 1:
+        raise ValueError(f"the closure lookahead must be at least 1, not {lookahead}")
     base = ideal_sum(a, R.J)
     chain = []
     run = 0
@@ -404,8 +413,10 @@ def q_exponent(a, R, e_max=5, closure=None):
 
     Scanning upward from e = 0 gives minimality directly; once the powers
     agree at some e they agree at every larger one, because taking p-th
-    powers preserves the equality modulo J.
+    powers preserves the equality modulo J.  Raises ``ValueError`` unless
+    ``e_max >= 0``.
     """
+    _check_e_max(e_max)
     if closure is None:
         result = frobenius_closure(a, R, e_max=e_max)
         if not result.stabilized:

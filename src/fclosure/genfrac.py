@@ -107,7 +107,9 @@ def hsl_exponent(elem, e_max):
     """The minimal e <= e_max with T**e killing the class of ``elem``;
     None when no torsion shows inside the window.  An indeterminate zero
     test (unstabilized limit chain) raises, since minimality would then be
-    undecidable."""
+    undecidable.  Raises ``ValueError`` unless ``e_max >= 0``."""
+    if e_max < 0:
+        raise ValueError(f"the largest exponent e_max must be non-negative, not {e_max}")
     for e in range(e_max + 1):
         verdict = is_zero_in_cohomology(t_action(elem, e))
         if verdict is None:

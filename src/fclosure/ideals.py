@@ -1,16 +1,17 @@
 """Groebner-basis engine: reduced bases, normal forms, membership, equality,
 colon, intersection, saturation, Krull dimension and radical membership.
 
-Everything is deterministic: generators are sorted canonically, the pair
-queue uses the normal strategy (smallest lcm in the ring order), and ties
-break by input position.  Budgets come from the ring's
+Everything is deterministic: an ideal keeps its generators in the order it
+is given them, the pair queue uses the normal strategy (smallest lcm in the
+ring order), and ties break by input position.  A reduced basis does not
+depend on that order.  Budgets come from the ring's
 :class:`~fclosure.config.EngineConfig`.
 
 Inside one call of an entry point marked :func:`memo_scope`, reduced bases,
 intersections and colons of rings without auxiliary variables are memoized
-on the ring and the generators (all through :func:`_reused`), so each
-distinct one is computed once; the memo is dropped when that call returns
-or raises.
+on the ring and the generators, in any order (all through :func:`_reused`),
+so each distinct one is computed once; the memo is dropped when that call
+returns or raises.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import contextvars
 import functools
 import heapq
 import warnings
-from itertools import combinations, groupby
-from operator import add, ge, itemgetter, neg, sub
+from itertools import combinations
+from operator import add, ge, neg, sub
 
 from .errors import BudgetExceededError, ColonByZeroWarning, InternalError, RingMismatchError
 from .polyring import BlockOrder, Polynomial
@@ -47,16 +48,25 @@ def memo_scope(fn):
     return scoped
 
 
-def _encode(polys):
-    """Polynomials as one flat int tuple: per polynomial its term count,
-    then each term's exponents and coefficient, descending in the order."""
+def _code(f):
+    """``f`` as a list of ints: its term count, then each term's exponents
+    and coefficient, descending in the order."""
+    terms = f.terms_sorted()
+    out = [len(terms)]
+    for exps, c in terms:
+        out.extend(exps)
+        out.append(c)
+    return out
+
+
+def _encode(codes):
+    """The int lists ``codes`` (see :func:`_code`) joined into one flat
+    tuple.  They are joined in a list first: a tuple built from an iterator
+    of unknown length can keep a block up to a third larger than it needs,
+    and the memo keeps these tuples."""
     out = []
-    for f in polys:
-        terms = f.terms_sorted()
-        out.append(len(terms))
-        for exps, c in terms:
-            out.extend(exps)
-            out.append(c)
+    for code in codes:
+        out += code
     return tuple(out)
 
 
@@ -79,24 +89,25 @@ def _decode(ring, code):
 def _reused(kind, ring, operands, compute):
     """The polynomials ``compute()`` returns.  Inside a :func:`memo_scope`
     call on a ring without auxiliary variables they are kept as a flat int
-    tuple under ``kind``, the ring and the encoded generator lists
-    ``operands``, and a repeated request decodes them instead of computing;
+    tuple under ``kind``, the ring and the generator lists ``operands``,
+    each encoded with its generators' codes sorted, so that a request with
+    the same generators in any order decodes them instead of computing;
     nothing is kept when ``compute`` raises."""
     memo = _MEMO.get()
     if memo is None or isinstance(ring.order, BlockOrder):
         return compute()
-    key = (kind, ring, *map(_encode, operands))
+    key = (kind, ring, *(_encode(sorted(map(_code, gens))) for gens in operands))
     code = memo.get(key)
     if code is not None:
         return _decode(ring, code)
     polys = compute()
-    memo[key] = _encode(polys)
+    memo[key] = _encode(map(_code, polys))
     return polys
 
 
 class Ideal:
-    """An ideal of a polynomial ring, as a generator list plus a lazily
-    cached reduced Groebner basis.
+    """An ideal of a polynomial ring, as its nonzero generators in the
+    order given plus a lazily cached reduced Groebner basis.
 
     Ideals of quotient rings are represented by their full preimages; see
     :class:`fclosure.frobenius.QuotientRing`.
@@ -110,7 +121,7 @@ class Ideal:
             if g.ring != ring:
                 raise RingMismatchError("generator lies in a different ring")
         self.ring = ring
-        self.gens = _canonical_order(ring.order, gens)
+        self.gens = gens
         self._basis = None
 
     def basis(self):
@@ -134,25 +145,6 @@ class Ideal:
 
     def __repr__(self):
         return f"Ideal({self})"
-
-
-def _canonical_order(order, gens):
-    """``gens`` descending by :meth:`~fclosure.polyring.Polynomial.sort_key`.
-
-    That key starts with the order key of the leading monomial, so the
-    generators are sorted by that one key each, and the full key is
-    evaluated only among generators with the same leading monomial."""
-    if len(gens) < 2:
-        return gens
-    lead = [(order.key(g.leading_monomial()), g) for g in gens]
-    lead.sort(key=itemgetter(0), reverse=True)
-    out = []
-    for _, tied in groupby(lead, key=itemgetter(0)):
-        tied = [g for _, g in tied]
-        if len(tied) > 1:
-            tied.sort(key=Polynomial.sort_key, reverse=True)
-        out.extend(tied)
-    return tuple(out)
 
 
 def ideal_from_text(text, ring):

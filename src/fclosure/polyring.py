@@ -310,11 +310,6 @@ class Polynomial:
             return -1
         return max(sum(e) for e in self._terms)
 
-    def sort_key(self):
-        """A total, order-compatible key usable to sort polynomials deterministically."""
-        key = self.ring.order.key
-        return tuple((key(e), c) for e, c in self.terms_sorted())
-
     # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other):

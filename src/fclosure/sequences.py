@@ -202,7 +202,10 @@ def is_usd_bounded(x, n_max):
     exponent vector in [1, n_max]^l against the d-sequence condition.  Each
     colon by a power or a product of the powers is iterated by the raw
     elements, one at a time (see :func:`_colon_by_power`), so the colons
-    repeated across exponent vectors and permutations are computed once."""
+    repeated across exponent vectors and permutations are computed once.
+    Raises ``ValueError`` unless ``n_max >= 1``: the box would be empty."""
+    if n_max < 1:
+        raise ValueError(f"the exponent box bound n_max must be at least 1, not {n_max}")
     l = x.length
     cap = x.R.ring.config.usd_length_cap
     if l > cap:
@@ -395,6 +398,7 @@ def verify_identity_suite(x, n_max, identities=None):
 
     The hypothesis itself is only box-checked; when it fails, the suite
     still runs and the report carries ``hypothesis_verified = False``.
+    Raises ``ValueError`` unless ``n_max >= 1``, through that box check.
     """
     identities = tuple(identities) if identities else ALL_IDENTITIES
     l = x.length

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from fclosure.errors import ExponentOverflowError
+from fclosure.errors import ExponentOverflowError, QExponentNotFoundError
 from fclosure.frobenius import (
     FrobeniusExponent,
     QuotientRing,
@@ -124,6 +124,49 @@ def test_closure_nilline_golden():
     chain = closure_chain_oracle(a, NIL, 3, degree=3)
     for e in (1, 2, 3):
         assert ideal_equal(chain[e], res.closure)
+
+
+def test_closure_and_q_exponent_reject_empty_windows():
+    # e_max < 0 examines no exponent; lookahead 0 would call the first
+    # value stable, and (y) would read as Frobenius closed
+    NIL = builtin_ring("NILLINE")
+    a = NIL.preimage([NIL.ring.var("y")])
+    closure = NIL.preimage([NIL.ring.var("x"), NIL.ring.var("y")])
+    with pytest.raises(ValueError, match="e_max"):
+        frobenius_closure(a, NIL, e_max=-1)
+    with pytest.raises(ValueError, match="lookahead"):
+        frobenius_closure(a, NIL, lookahead=0)
+    with pytest.raises(ValueError, match="e_max"):
+        q_exponent(a, NIL, e_max=-1)
+    with pytest.raises(ValueError, match="e_max"):
+        q_exponent(a, NIL, e_max=-1, closure=closure)
+
+
+def test_closure_window_too_short_is_unstabilized():
+    # the chain of (y) in NILLINE grows at e = 1 and settles only after it,
+    # so at e_max = 1 it stops at F_1 without a verdict
+    NIL = builtin_ring("NILLINE")
+    a = NIL.preimage([NIL.ring.var("y")])
+    res = frobenius_closure(a, NIL, e_max=1)
+    assert not res.stabilized and res.e_star is None
+    assert res.examined_e == 1 and len(res.chain) == 2
+    assert res.closure is res.chain[-1]
+    assert [str(g) for g in res.closure.basis()] == ["x", "y"]
+
+
+def test_q_exponent_not_found():
+    NIL = builtin_ring("NILLINE")
+    a = NIL.preimage([NIL.ring.var("y")])
+    # the closure chain does not stabilize within the window
+    with pytest.raises(QExponentNotFoundError, match="did not stabilize") as info:
+        q_exponent(a, NIL, e_max=1)
+    assert info.value.e_max == 1
+    # a given closure whose powers first agree at e = 1
+    closure = NIL.preimage([NIL.ring.var("x"), NIL.ring.var("y")])
+    with pytest.raises(QExponentNotFoundError, match="equalizes") as info:
+        q_exponent(a, NIL, e_max=0, closure=closure)
+    assert info.value.e_max == 0
+    assert q_exponent(a, NIL, e_max=1, closure=closure) == FrobeniusExponent(1, 2)
 
 
 def test_closure_chain_is_ascending_and_certified():

@@ -114,6 +114,13 @@ def test_hsl_not_found_for_torsion_free_class(TW):
     assert hsl_exponent(elem, 4) is None
 
 
+def test_hsl_rejects_an_empty_window(TW):
+    # e_max < 0 tries no exponent at all
+    elem = make_elem(TW.ring.parse("x + z"), tw_sop(TW), 1)
+    with pytest.raises(ValueError, match="e_max"):
+        hsl_exponent(elem, -1)
+
+
 def test_zero_class_stays_zero_under_t_action(TW):
     sop = tw_sop(TW)
     elem = make_elem(TW.ring.parse("x + z"), sop, 1)

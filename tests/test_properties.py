@@ -2,11 +2,13 @@
 ideals, colons multiply back into the dividend, a colon by a product or a
 power equals the chain of colons by its factors, membership does not depend
 on the monomial order, exact division inverts multiplication, generators
-come in their canonical order, presorted terms are sorted, and Frobenius
-preimage generators satisfy their certificate.  Derandomized, so every run
-draws the same examples."""
+are kept in the order given, a returned basis carries its certificate and
+does not depend on the generator order, presorted terms are sorted,
+Frobenius preimage generators satisfy their certificate, and the closure
+chain ascends to Q(a) = p^{e*}.  Derandomized, so every run draws the same
+examples."""
 
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -15,7 +17,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import fclosure.ideals as ideals  # noqa: E402
 from fclosure.errors import InternalError  # noqa: E402
-from fclosure.frobenius import frobenius_preimage  # noqa: E402
+from fclosure.frobenius import frobenius_closure, frobenius_preimage, q_exponent  # noqa: E402
 from fclosure.ideals import (  # noqa: E402
     Ideal,
     colon,
@@ -27,8 +29,9 @@ from fclosure.ideals import (  # noqa: E402
     normal_form,
     scale_ideal,
 )
-from fclosure.polyring import Polynomial, PolyRing  # noqa: E402
+from fclosure.polyring import BlockOrder, PolyRing  # noqa: E402
 from fclosure.sequences import _colon_by_power  # noqa: E402
+from fclosure.workbench import builtin_ring  # noqa: E402
 
 PRIMES = (2, 3, 5)
 NAMES = ("x", "y", "z")
@@ -145,26 +148,60 @@ def test_exact_quotient_inverts_multiplication(q_terms, g_terms, r_terms):
 ORDER_RINGS = (RINGS[3, "grevlex"], RINGS[3, "lex"], RINGS[3, "grevlex"].extended(1))
 EXPS4 = st.tuples(*[st.integers(0, 2)] * 4)
 GEN_TERMS = st.lists(st.tuples(EXPS4, st.integers(1, 2)), min_size=1, max_size=3)
-# (which generator, which kind of tie) pairs
-TIES = st.lists(st.tuples(st.integers(0, 9), st.integers(0, 2)))
+
+
+def _gens(ring, gen_terms):
+    n = len(ring.variables)
+    return [_poly(ring, [(e[:n], c) for e, c in terms]) for terms in gen_terms]
 
 
 @CASES
-@given(st.sampled_from(ORDER_RINGS), st.lists(GEN_TERMS, max_size=5), TIES)
-def test_generators_come_in_the_canonical_order(ring, gen_terms, copies):
-    n = len(ring.variables)
-    gens = [_poly(ring, [(e[:n], c) for e, c in terms]) for terms in gen_terms]
-    # force ties of leading monomials: a duplicate of a generator, its
-    # double (another leading coefficient), or its leading term plus its
-    # doubled tail (the same leading term, other lower terms)
-    for i, kind in copies:
-        if gens and not gens[i % len(gens)].is_zero():
-            g = gens[i % len(gens)]
-            lead = ring.monomial(g.leading_monomial(), g.leading_coeff())
-            gens.append((ring.poly(dict(g._terms)), g * 2, lead + (g - lead) * 2)[kind])
-    nonzero = [g for g in gens if not g.is_zero()]
-    expected = tuple(sorted(nonzero, key=Polynomial.sort_key, reverse=True))
-    assert Ideal(ring, gens).gens == expected
+@given(st.sampled_from(ORDER_RINGS), st.lists(GEN_TERMS, max_size=5))
+def test_generators_are_kept_in_the_order_given(ring, gen_terms):
+    # the generator list may hold zeros (terms of one monomial may cancel
+    # mod 3) and repeats; the ideal drops the zeros and keeps the rest as given
+    gens = _gens(ring, gen_terms)
+    gens += gens[:2]
+    kept = Ideal(ring, gens).gens
+    assert len(kept) == sum(not g.is_zero() for g in gens)
+    assert all(a is b for a, b in zip(kept, (g for g in gens if not g.is_zero())))
+
+
+def _s_polynomial(f, g):
+    """The S-polynomial of the monic ``f`` and ``g`` by ring arithmetic."""
+    ring = f.ring
+    lf, lg = f.leading_monomial(), g.leading_monomial()
+    lcm = tuple(map(max, lf, lg))
+    mf = ring.monomial(tuple(a - b for a, b in zip(lcm, lf)))
+    mg = ring.monomial(tuple(a - b for a, b in zip(lcm, lg)))
+    return mf * f - mg * g
+
+
+def _divides(m, e):
+    return all(a <= b for a, b in zip(m, e))
+
+
+@CASES
+@given(st.sampled_from(ORDER_RINGS), st.lists(GEN_TERMS, min_size=1, max_size=4))
+def test_basis_carries_its_certificate_in_every_generator_order(ring, gen_terms):
+    # the basis is reduced, every S-pair of it reduces to zero with no pair
+    # criterion applied (Buchberger's criterion), it generates the ideal
+    # (on an elimination ring it is the basis of the elimination ideal, so
+    # only its own certificate applies), and no generator order changes it
+    gens = _gens(ring, gen_terms)
+    basis = Ideal(ring, gens).basis()
+    heads = [g.leading_monomial() for g in basis]
+    for i, g in enumerate(basis):
+        assert g.leading_coeff() == 1
+        others = heads[:i] + heads[i + 1 :]
+        assert not any(_divides(h, e) for h in others for e in g._terms)
+    for f, g in product(basis, repeat=2):
+        if f is not g:
+            assert ideals._reduce_full(_s_polynomial(f, g), basis).is_zero()
+    if not isinstance(ring.order, BlockOrder):
+        assert all(ideals._reduce_full(g, basis).is_zero() for g in gens)
+    for order in permutations(gens):
+        assert Ideal(ring, order).basis() == basis
 
 
 @CASES
@@ -206,3 +243,26 @@ def test_preimage_generators_satisfy_their_certificate(p, gen_terms):
     preimage = frobenius_preimage(I, 1)
     assert all(ideal_member(g.frobenius(1), I) for g in preimage.gens)
     assert ideal_contains(preimage, I)
+
+
+# small ideals of NILLINE = F_2[x,y]/(x^2), where closures grow, and of the
+# F-pure TWOPLANES = F_2[x,y,z,w]/(x,y)(z,w), where every ideal is Frobenius
+# closed; the exponent tuples are cut to the ring's length
+CLOSURE_RINGS = (builtin_ring("NILLINE"), builtin_ring("TWOPLANES"))
+LINEAR_OR_QUADRATIC = [e for e in product(range(3), repeat=4) if 1 <= sum(e) <= 2]
+CLOSURE_GEN = st.lists(st.sampled_from(LINEAR_OR_QUADRATIC), min_size=1, max_size=3)
+
+
+@CASES
+@given(st.sampled_from(CLOSURE_RINGS), st.lists(CLOSURE_GEN, min_size=1, max_size=2))
+def test_closure_chain_ascends_to_the_test_exponent(R, gen_terms):
+    # F_e = {r : r^(p^e) in a^[p^e] + J} ascends; once it stabilizes at e*,
+    # Q(a) = p^(e*), the least Q with (a^F)^[Q] = a^[Q] (Katzman-Sharp)
+    n = len(R.ring.variables)
+    gens = [_poly(R.ring, [(e[:n], 1) for e in terms]) for terms in gen_terms]
+    a = R.preimage(gens)
+    res = frobenius_closure(a, R, e_max=3)
+    for smaller, larger in zip(res.chain, res.chain[1:]):
+        assert ideal_contains(larger, smaller)
+    if res.stabilized:
+        assert q_exponent(a, R, e_max=3, closure=res.closure).e == res.e_star

@@ -95,6 +95,15 @@ def test_usd_bounded(TW, REG, XY):
     assert is_usd_bounded(twoplanes_sop(TW), 3).passed
 
 
+def test_box_checks_reject_an_empty_box(TW):
+    # n_max < 1 leaves no exponent vector, so a pass would be vacuous
+    for n_max in (0, -1):
+        with pytest.raises(ValueError, match="n_max"):
+            is_usd_bounded(twoplanes_sop(TW), n_max)
+        with pytest.raises(ValueError, match="n_max"):
+            verify_identity_suite(twoplanes_sop(TW), n_max)
+
+
 def test_usd_verdict_is_permutation_invariant(TW):
     rg = TW.ring
     fwd = SequenceSpec(TW, [rg.parse("x + z"), rg.parse("y + w")])

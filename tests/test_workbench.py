@@ -14,6 +14,7 @@ import pytest
 
 import fclosure.polyring as polyring
 from fclosure.cli import _run, main
+from fclosure.config import EngineConfig
 from fclosure.errors import InternalError, ParseError
 from fclosure.ideals import ideal_equal
 from fclosure.polyring import PolyRing
@@ -212,6 +213,30 @@ def test_survey_regular_all_trivial():
     assert all(r["status"] == "ok" for r in report.records)
 
 
+def test_survey_records_unstabilized_chains():
+    # every sampled line of NILLINE has e* = 1, so e_max = 2 ends each
+    # chain one equality short of the lookahead window
+    NIL = builtin_ring("NILLINE")
+    report = survey_uniform_q(NIL, SurveyConfig(sample_count=4, seed=1, max_degree=2, e_max=2))
+    assert [r["status"] for r in report.records] == ["unstabilized"] * 4
+    assert all(r["e_star"] == 1 and r["examined_e"] == 2 for r in report.records)
+    assert not any("q_exponent" in r for r in report.records)
+    assert report.aggregate == {"max_q": None, "histogram": {}, "indeterminate": 4, "certified": 0}
+    assert not report.all_stabilized
+
+
+def test_survey_records_budget_errors():
+    # a degree budget of 6 lets the sampler through but stops the closure
+    # chain of the third sample
+    NIL = builtin_ring("NILLINE", config=EngineConfig(max_poly_degree=6))
+    report = survey_uniform_q(NIL, SurveyConfig(sample_count=4, seed=1, max_degree=2, e_max=3))
+    assert [r["status"] for r in report.records] == ["ok", "ok", "error", "ok"]
+    failed = report.records[2]
+    assert failed["cause"] == "reduction exceeded the degree budget 6"
+    assert "closure" not in failed and "q_exponent" not in failed
+    assert report.aggregate == {"max_q": 2, "histogram": {"2": 3}, "indeterminate": 1, "certified": 3}
+
+
 def test_survey_report_byte_identical():
     TW = builtin_ring("TWOPLANES")
     cfg = SurveyConfig(sample_count=8, seed=11, lengths=(1, 2), e_max=3)
@@ -358,6 +383,46 @@ def test_cli_operational_errors(capsys):
     assert main(["gb", "--ring", "REG", "--ideal", "x + q"]) == 2
     assert main(["gb", "--ring", "/nonexistent/file.ring", "--ideal", "x"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("fclosure --ring NILLINE --ideal y --lookahead 0", "lookahead must be at least 1"),
+        ("fclosure --ring NILLINE --ideal y --emax -1", "e_max must be non-negative"),
+        ("qexp --ring NILLINE --ideal y --emax -1", "e_max must be non-negative"),
+        ("survey-q --ring NILLINE --samples 4 --seed 1 --lookahead 0", "lookahead must be at least 1"),
+        ("survey-q --ring NILLINE --samples 4 --seed 1 --emax -1", "e_max must be non-negative"),
+        ('usd --ring TWOPLANES --seq "x+z; y+w" --nmax 0', "n_max must be at least 1"),
+        ('verify gy --ring TWOPLANES --seq "x+z; y+w" --nmax 0', "n_max must be at least 1"),
+        ('verify fixedq --ring TWOPLANES --seq "x+z; y+w" --emax -1', "e_max must be non-negative"),
+    ],
+)
+def test_cli_rejects_empty_windows_and_boxes(command, message, capsys):
+    # an empty window or box is an operational error (exit 2), never a verdict
+    assert main(shlex.split(command)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_cli_indeterminate_outcomes_exit_2(capsys):
+    assert main(["fclosure", "--ring", "NILLINE", "--ideal", "y", "--emax", "1"]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "x; y",
+        "e_star: None  stabilized: False  certified_lower: True  examined e <= 1",
+    ]
+    assert main(["qexp", "--ring", "NILLINE", "--ideal", "y", "--emax", "1"]) == 2
+    assert "did not stabilize within e <= 1" in capsys.readouterr().err
+    args = ["survey-q", "--ring", "NILLINE", "--samples", "4", "--seed", "1", "--degree", "2"]
+    assert main([*args, "--emax", "2"]) == 2
+    assert capsys.readouterr().out.splitlines()[0] == "samples: 4  certified: 0  indeterminate: 4"
+
+
+def test_cli_nil_lists_target_generators_in_the_order_given(capsys):
+    argv = ["verify", "nil", "--ring", "NILLINE", "--ideal", "y; x*y", "--nil", "x", "--json"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["records"][0]["generators"] == ["y", "x*y"]
 
 
 def test_cli_internal_error_exit_code(capsys, monkeypatch):
