@@ -76,9 +76,9 @@ def is_zero_in_cohomology(elem):
     for f, n in zip(elem.seq.elements[: elem.r], elem.denominators):
         if n < n_eq:
             h = h * f ** (n_eq - n)
-    denom_seq = SequenceSpec(R, elem.seq.elements[: elem.r], (n_eq,) * elem.r)
+    equalized = elem.seq.with_exponents((n_eq,) * elem.seq.length)
     try:
-        lim, _ = limit_ideal(denom_seq)
+        lim, _ = limit_ideal(equalized, range(1, elem.r + 1))
     except UnstabilizedError:
         return None
     return ideal_member(h, lim)

@@ -12,6 +12,7 @@ the defining ideal J as a preimage.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
@@ -52,13 +53,16 @@ class SequenceSpec:
                 raise RingMismatchError("sequence element lies in a different ring")
             if R.reduce(f).is_zero():
                 raise ValueError(f"sequence element is zero in the quotient ring: {f}")
-        exponents = tuple(exponents) if exponents is not None else (1,) * len(elements)
-        if len(exponents) != len(elements):
+        self.R = R
+        self.elements = elements
+        self._set_exponents((1,) * len(elements) if exponents is None else exponents)
+
+    def _set_exponents(self, exponents):
+        exponents = tuple(exponents)
+        if len(exponents) != len(self.elements):
             raise ValueError("exponent vector length must match the sequence length")
         if any(n < 1 for n in exponents):
             raise ValueError("exponents must be positive")
-        self.R = R
-        self.elements = elements
         self.exponents = exponents
         self._effective = None
 
@@ -73,18 +77,11 @@ class SequenceSpec:
         return self._effective
 
     def with_exponents(self, exponents):
-        return SequenceSpec(self.R, self.elements, exponents)
-
-    def permuted(self, perm):
-        """The sequence reordered by ``perm``; its powers are this
-        sequence's powers, reordered, not computed again."""
-        out = SequenceSpec(
-            self.R,
-            tuple(self.elements[i] for i in perm),
-            tuple(self.exponents[i] for i in perm),
-        )
-        eff = self.effective()
-        out._effective = tuple(eff[i] for i in perm)
+        """The same elements under another exponent vector.  The elements
+        were checked when this sequence was built, so only the vector is
+        checked; the new sequence shares this one's element objects."""
+        out = copy.copy(self)
+        out._set_exponents(exponents)
         return out
 
     def _check_subset(self, subset):
@@ -106,11 +103,6 @@ class SequenceSpec:
         self._check_subset(subset)
         eff = self.effective()
         return self.R.preimage([eff[i - 1] for i in subset])
-
-    def prefix_ideal(self, j):
-        """Preimage of (x_1**n_1, ..., x_j**n_j); the defining ideal for j = 0."""
-        eff = self.effective()
-        return self.R.preimage(eff[:j])
 
     def __repr__(self):
         inner = ", ".join(
@@ -158,19 +150,20 @@ def _colon_by_power(I, f, m):
     return I
 
 
-def _d_sequence_violation(x):
-    """The first pair (j, k) violating the d-sequence condition, or None.
+def _d_sequence_violation(x, order):
+    """The first pair (j, k) violating the d-sequence condition for the
+    sequence taken in the index ``order`` (0-based positions of ``x``), or
+    None; j and k count positions in that order.
 
     Both colons are iterated by the raw elements: (prefix : x_k**n_k) by
     x_k, n_k times, and the pair colon (prefix : x_{j+1}**n_{j+1} x_k**n_k)
     as that one divided on by x_{j+1}, n_{j+1} times."""
-    l = x.length
-    elements, exponents = x.elements, x.exponents
-    for j in range(l):
-        prefix = x.prefix_ideal(j)
-        for k in range(j + 1, l + 1):
-            by_k = _colon_by_power(prefix, elements[k - 1], exponents[k - 1])
-            if not ideal_equal(_colon_by_power(by_k, elements[j], exponents[j]), by_k):
+    elements, exponents, powers = x.elements, x.exponents, x.effective()
+    for j, first in enumerate(order):
+        prefix = x.R.preimage([powers[i] for i in order[:j]])
+        for k, i in enumerate(order[j:], start=j + 1):
+            by_k = _colon_by_power(prefix, elements[i], exponents[i])
+            if not ideal_equal(_colon_by_power(by_k, elements[first], exponents[first]), by_k):
                 return j, k
     return None
 
@@ -179,7 +172,7 @@ def is_d_sequence(x):
     """Check ((x_1,...,x_j) : x_{j+1} x_k) = ((x_1,...,x_j) : x_k) for all
     0 <= j < k <= l, on the powered elements.  Returns (verdict, violation),
     the violation being the first failing pair (j, k) or None."""
-    violation = _d_sequence_violation(x)
+    violation = _d_sequence_violation(x, range(x.length))
     return violation is None, violation
 
 
@@ -216,7 +209,7 @@ def is_usd_bounded(x, n_max):
     for box in itertools.product(range(1, n_max + 1), repeat=l):
         powered = x.with_exponents(box)
         for perm in itertools.permutations(range(l)):
-            violation = _d_sequence_violation(powered.permuted(perm))
+            violation = _d_sequence_violation(powered, perm)
             if violation is not None:
                 return UsdVerdict(
                     False,
@@ -232,7 +225,7 @@ def is_filter_regular(x):
     a = x.R.maximal_ideal()
     eff = x.effective()
     for j in range(1, x.length + 1):
-        prefix = x.prefix_ideal(j - 1)
+        prefix = x.partial_ideal(range(1, j))
         quotient = colon(prefix, Ideal(x.R.ring, [eff[j - 1]]))
         sat, _ = saturate(prefix, a)
         if not ideal_contains(sat, quotient):
@@ -433,12 +426,13 @@ def verify_identity_suite(x, n_max, identities=None):
         if "colon_unmixed" in identities or "colon_power" in identities:
             for delta in proper_subsets:
                 base = xn.partial_ideal(delta)
+                if "colon_unmixed" in identities:
+                    sum_form = _subset_sum(xn, _subsets(delta, len(delta)), unit_unmixed)
+                    unmixed = unmixed_part(xn, delta)
                 for j in [j for j in indices if j not in delta]:
                     params = {"n": n, "delta": delta, "j": j}
                     by_xj = colon(base, Ideal(R.ring, [x.elements[j - 1]]))
                     if "colon_unmixed" in identities:
-                        sum_form = _subset_sum(xn, _subsets(delta, len(delta)), unit_unmixed)
-                        unmixed = unmixed_part(xn, delta)
                         check("colon_unmixed", params, [(unmixed, by_xj), (by_xj, sum_form)])
                     if "colon_power" in identities:
                         # (base : x_j**n_j), iterated on from (base : x_j)
@@ -466,7 +460,7 @@ def verify_identity_suite(x, n_max, identities=None):
 
         if "intersection_prefix" in identities:
             for r in range(l):
-                prefix = xn.prefix_ideal(r)
+                prefix = xn.partial_ideal(range(1, r + 1))
                 quotient = _colon_by_power(prefix, x.elements[r], n[r])
                 lhs = intersect(quotient, total)
                 check("intersection_prefix", {"n": n, "r": r}, [(lhs, prefix)])

@@ -196,7 +196,13 @@ def _random_element(ring, rng, monomials, R):
 def sample_parameter_ideals(R, cfg):
     """Deterministic sample of (sub)systems of parameters: random
     degree-bounded combinations of the variables, filtered through the
-    parameter tests.  Identical seeds give identical samples."""
+    parameter tests.  Identical seeds give identical samples.  Raises
+    ``ValueError`` unless ``sample_count >= 1`` and ``max_degree >= 1``:
+    the sample would be empty, or drawn from no monomial."""
+    if cfg.sample_count < 1:
+        raise ValueError(f"sample_count must be at least 1, not {cfg.sample_count}")
+    if cfg.max_degree < 1:
+        raise ValueError(f"max_degree must be at least 1, not {cfg.max_degree}")
     if R.dimension <= 0:
         raise ValueError("parameter sampling needs a ring of positive dimension")
     rng = random.Random(cfg.seed)

@@ -56,6 +56,20 @@ def test_sequence_validation(TW):
         SequenceSpec(TW, [])
 
 
+def test_with_exponents_shares_the_checked_elements(TW, monkeypatch):
+    # a derived sequence checks only its exponent vector: the elements are
+    # the parent's objects, not reduced modulo J again
+    sop = twoplanes_sop(TW)
+    monkeypatch.setattr(QuotientRing, "reduce", lambda R, f: pytest.fail("reduced again"))
+    powered = sop.with_exponents((2, 3))
+    assert powered.exponents == (2, 3) and sop.exponents == (1, 1)
+    assert all(a is b for a, b in zip(powered.elements, sop.elements))
+    assert powered.effective() == tuple(f**n for f, n in zip(sop.elements, (2, 3)))
+    for bad in ((2,), (1, 1, 1), (1, 0), (-1, 2)):
+        with pytest.raises(ValueError, match="length|positive"):
+            sop.with_exponents(bad)
+
+
 def test_sop_examples(TW, REG):
     assert is_system_of_parameters(
         SequenceSpec(REG, list(REG.ring.gens()))

@@ -156,6 +156,24 @@ def test_sampler_requires_positive_dimension():
 
 
 @pytest.mark.parametrize(
+    "settings, message",
+    [
+        pytest.param({"sample_count": 0}, "sample_count must be at least 1, not 0", id="samples-0"),
+        pytest.param({"sample_count": -3}, "sample_count must be at least 1, not -3", id="samples-neg"),
+        pytest.param({"max_degree": 0}, "max_degree must be at least 1, not 0", id="degree-0"),
+    ],
+)
+def test_sampler_rejects_a_vacuous_request(settings, message):
+    # a sample of nothing, or from no monomial, is an error, not an empty survey
+    TW = builtin_ring("TWOPLANES")
+    cfg = SurveyConfig(**{"sample_count": 2, **settings})
+    with pytest.raises(ValueError, match=message):
+        sample_parameter_ideals(TW, cfg)
+    with pytest.raises(ValueError, match=message):
+        survey_uniform_q(TW, cfg)
+
+
+@pytest.mark.parametrize(
     "lengths, message",
     [
         pytest.param((3,), "subsystem length 3 is outside 1..2", id="3"),
@@ -396,10 +414,14 @@ def test_cli_operational_errors(capsys):
         ('usd --ring TWOPLANES --seq "x+z; y+w" --nmax 0', "n_max must be at least 1"),
         ('verify gy --ring TWOPLANES --seq "x+z; y+w" --nmax 0', "n_max must be at least 1"),
         ('verify fixedq --ring TWOPLANES --seq "x+z; y+w" --emax -1', "e_max must be non-negative"),
+        ("survey-q --ring TWOPLANES --samples 0", "sample_count must be at least 1, not 0"),
+        ("survey-q --ring TWOPLANES --samples -3", "sample_count must be at least 1, not -3"),
+        ("survey-q --ring REG --degree 0 --samples 2", "max_degree must be at least 1, not 0"),
+        ("verify nil --ring NILLINE --nil x --samples 0", "sample_count must be at least 1, not 0"),
     ],
 )
 def test_cli_rejects_empty_windows_and_boxes(command, message, capsys):
-    # an empty window or box is an operational error (exit 2), never a verdict
+    # an empty window, box or sample is an operational error (exit 2), never a verdict
     assert main(shlex.split(command)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
