@@ -48,6 +48,7 @@ from .frobenius import (
     frobenius_power,
     frobenius_preimage,
     frobenius_root,
+    hsl_number,
     q_exponent,
 )
 from .sequences import (

@@ -20,8 +20,14 @@ import json
 import sys
 from typing import Callable, NamedTuple
 
-from .errors import FClosureError, InternalError
-from .frobenius import frobenius_closure, frobenius_power, frobenius_root, q_exponent
+from .errors import FClosureError, InternalError, UnstabilizedError
+from .frobenius import (
+    frobenius_closure,
+    frobenius_power,
+    frobenius_root,
+    hsl_number,
+    q_exponent,
+)
 from .ideals import colon, ideal_sum, intersect, krull_dimension, memo_scope, normal_form, saturate
 from .sequences import (
     SequenceSpec,
@@ -118,10 +124,21 @@ def _froot(args, R):
 def _fclosure(args, R):
     res = frobenius_closure(_ideal(args.ideal, R), R, e_max=args.emax, lookahead=args.lookahead)
     status = f"e_star: {res.e_star}  stabilized: {res.stabilized}  "
-    status += f"certified_lower: {res.certified_lower}  examined e <= {res.examined_e}"
-    fields = {k: getattr(res, k) for k in ("e_star", "stabilized", "certified_lower", "examined_e")}
+    status += f"certified_lower: {res.certified_lower}  certified_upper: {res.certified_upper}  "
+    status += f"examined e <= {res.examined_e}"
+    names = ("e_star", "stabilized", "certified_lower", "certified_upper", "examined_e")
+    fields = {k: getattr(res, k) for k in names}
     code = 0 if res.stabilized else 2
     return _ideal_result(args, res.closure, status, code=code, key="closure", **fields)
+
+
+def _hsl(args, R):
+    eta = hsl_number(R, args.emax)
+    if eta is None and not R.is_homogeneous_hypersurface():
+        raise ValueError(f"{R} is not a hypersurface with a homogeneous relation")
+    if eta is None:
+        raise UnstabilizedError(f"the HSL chain did not settle within e <= {args.emax}")
+    return _result(args, [str(eta)], hsl_number=eta)
 
 
 def _qexp(args, R):
@@ -245,6 +262,7 @@ COMMANDS = {
     "froot": Command("Frobenius root (smallest K with I in K^[p^e])", (IDEAL, E), _froot),
     "fclosure": Command("Frobenius closure chain of an ideal", (IDEAL, EMAX, LOOKAHEAD), _fclosure),
     "qexp": Command("minimal Q with (a^F)^[Q] = a^[Q]", (IDEAL, EMAX), _qexp),
+    "hsl": Command("HSL number of the top local cohomology of a hypersurface", (EMAX,), _hsl),
     "dseq": Command("d-sequence test", SEQ, _dseq),
     "usd": Command("bounded unconditioned-strong-d-sequence test", (*SEQ, NMAX), _usd),
     "filtreg": Command("filter-regular sequence test (relative to m)", SEQ, _filtreg),

@@ -1,5 +1,6 @@
 """Frobenius powers, Frobenius roots, Frobenius closure in quotient rings,
-and the minimal test exponent Q(a) with (a^F)^[Q] = a^[Q].
+the HSL number of a homogeneous hypersurface, and the minimal test
+exponent Q(a) with (a^F)^[Q] = a^[Q].
 
 Two different "e-th root" operations appear here and must not be confused:
 
@@ -99,8 +100,18 @@ class QuotientRing:
     def is_regular(self):
         return self.J.is_zero()
 
+    def is_homogeneous_hypersurface(self):
+        """True when J = 0 or J = (f) with f homogeneous in the standard
+        grading: the rings on which :func:`hsl_number` is computed."""
+        basis = self.J.basis()
+        return not basis or (len(basis) == 1 and _homogeneous(basis[0]))
+
     def __repr__(self):
         return f"QuotientRing(F_{self.p}[{', '.join(self.ring.variables)}] / ({self.J}))"
+
+
+def _homogeneous(f):
+    return len({sum(exps) for exps in f._terms}) <= 1
 
 
 def _check_e(e, ring):
@@ -354,13 +365,15 @@ class ClosureResult:
     """Outcome of a Frobenius-closure chain computation.
 
     ``closure`` is the last chain value (a preimage ideal containing J).
-    ``e_star`` is the first index where the chain repeated; ``None`` when
-    the window closed without the required run of equalities, in which case
-    ``stabilized`` is False and the value is only a lower bound stage.
-    ``certified_lower`` records that every returned generator g satisfies
-    g**(p**e) in a^[p**e] + J for the examined exponents, which holds by
-    construction of the chain.  The reverse containment (that nothing joins
-    the closure beyond the examined window) is heuristic.
+    ``e_star`` is the first index from which the chain stays at that value;
+    ``None`` when the window closed without the required run of equalities,
+    in which case ``stabilized`` is False and the value is only a lower
+    bound stage.  ``certified_lower`` records that every returned generator
+    g satisfies g**(p**e) in a^[p**e] + J for the examined exponents, which
+    holds by construction of the chain.  ``certified_upper`` records that
+    nothing joins the closure beyond the examined window either: the chain
+    stopped at the HSL number (see :func:`frobenius_closure`).  Without it
+    the reverse containment rests on the lookahead window and is heuristic.
     """
 
     closure: Ideal
@@ -369,6 +382,7 @@ class ClosureResult:
     stabilized: bool
     examined_e: int
     chain: list = field(default_factory=list)
+    certified_upper: bool = False
 
 
 def _check_e_max(e_max):
@@ -377,13 +391,69 @@ def _check_e_max(e_max):
 
 
 @memo_scope
+def hsl_number(R, e_max):
+    """The HSL number eta of H^d_m(R) for R = S/(f) with f homogeneous:
+    the least e with F^e killing every Frobenius-nilpotent element.
+
+    Katzman's chain (Parameter-test-ideals of Cohen-Macaulay rings,
+    Compositio 2008): B_0 = (1), B_{e+1} = (f^(p-1) B_e)^[1/p] + (f), a
+    descending chain whose first repeat B_e = B_{e+1} is at e = eta.  Each
+    B_e is kept as its reduced basis, so the products stay small.  Returns
+    0 when J = 0, and ``None`` when R is no such hypersurface or the chain
+    has not settled by ``e_max``.  Raises ``ValueError`` unless
+    ``e_max >= 0``.
+    """
+    _check_e_max(e_max)
+    if not R.is_homogeneous_hypersurface():
+        return None
+    if R.is_regular():
+        return 0
+    ring = R.ring
+    u = R.J.basis()[0] ** (R.p - 1)
+    B = [ring.one]
+    for e in range(e_max + 1):
+        root = frobenius_root(Ideal(ring, [u * g for g in B]), 1)
+        settled = ideal_sum(root, R.J).basis()
+        if settled == B:
+            return e
+        B = settled
+    return None
+
+
+def _parameter_hsl_number(a, R, e_max):
+    """hsl_number(R, e_max) when the Katzman-Sharp certificate applies to
+    ``a`` (see :func:`frobenius_closure`), else ``None``; the ring is
+    tested first, since that costs no Groebner basis."""
+    if not R.is_homogeneous_hypersurface():
+        return None
+    outside = [g for g in a.gens if not R.reduce(g).is_zero()]
+    if len(outside) != R.dimension or not all(map(_homogeneous, outside)):
+        return None
+    if krull_dimension(ideal_sum(a, R.J)) != 0:
+        return None
+    return hsl_number(R, e_max)
+
+
+@memo_scope
 def frobenius_closure(a, R, e_max=5, lookahead=2):
-    """Ascending chain F_e = {r : r**(p**e) in a^[p**e] + J}, stopped after
-    ``lookahead`` consecutive equal values or at ``e_max``.  Raises
-    ``ValueError`` unless ``e_max >= 0`` and ``lookahead >= 1``."""
+    """Ascending chain F_e = {r : r**(p**e) in a^[p**e] + J}.
+
+    The Katzman-Sharp certificate applies when R is a homogeneous
+    hypersurface (so Cohen-Macaulay), the generators of a outside J are
+    dim R homogeneous polynomials, and a + J is primary to m: a is then
+    generated by a homogeneous full system of parameters x, and the
+    engine's global computation is the local one at m.  There r is in a^F
+    iff the class of r/x in H^d_m(R) is Frobenius-nilpotent, iff
+    r**(p**eta) in a^[p**eta] + J, with eta the HSL number (J. Algebra
+    2006).  So when eta <= e_max the chain stops at e = eta: a^F = F_eta,
+    Q(a) <= p**eta, and the result is ``certified_upper``.  Otherwise the
+    chain stops after ``lookahead`` consecutive equal values or at
+    ``e_max``.  Raises ``ValueError`` unless ``e_max >= 0`` and
+    ``lookahead >= 1``."""
     _check_e_max(e_max)
     if lookahead < 1:
         raise ValueError(f"the closure lookahead must be at least 1, not {lookahead}")
+    eta = _parameter_hsl_number(a, R, e_max)
     base = ideal_sum(a, R.J)
     chain = []
     run = 0
@@ -402,7 +472,10 @@ def frobenius_closure(a, R, e_max=5, lookahead=2):
                 run = 0
                 e_star = None
         chain.append(F_e)
-        if run >= lookahead:
+        if e == eta:
+            e_star = e if e_star is None else e_star
+            return ClosureResult(F_e, e_star, True, True, e, chain, certified_upper=True)
+        if eta is None and run >= lookahead:
             return ClosureResult(F_e, e_star, True, True, e, chain)
     return ClosureResult(chain[-1], e_star, True, False, e_max, chain)
 

@@ -173,6 +173,11 @@ class SampleBatch:
                 "accepted": len(self.sequences)}
 
 
+def _check_sample_count(cfg):
+    if cfg.sample_count < 1:
+        raise ValueError(f"sample_count must be at least 1, not {cfg.sample_count}")
+
+
 def _degree_monomials(ring, max_degree):
     n = len(ring.variables)
     out = []
@@ -199,8 +204,7 @@ def sample_parameter_ideals(R, cfg):
     parameter tests.  Identical seeds give identical samples.  Raises
     ``ValueError`` unless ``sample_count >= 1`` and ``max_degree >= 1``:
     the sample would be empty, or drawn from no monomial."""
-    if cfg.sample_count < 1:
-        raise ValueError(f"sample_count must be at least 1, not {cfg.sample_count}")
+    _check_sample_count(cfg)
     if cfg.max_degree < 1:
         raise ValueError(f"max_degree must be at least 1, not {cfg.max_degree}")
     if R.dimension <= 0:
@@ -438,7 +442,9 @@ def run_suite(name, R, x=None, cfg=None, a=None, nil_gens=None):
     ``passed`` key.  ``gy`` runs the full identity suite, ``huneke`` the
     intersection identities, ``br21`` the limit-product and subset
     decomposition identities; ``fixedq`` and ``nil`` are the empirical
-    Frobenius checks."""
+    Frobenius checks.  ``fixedq`` raises ``ValueError`` unless
+    ``sample_count >= 1``: it would sample one numerator per prefix
+    whatever the count."""
     cfg = cfg or SurveyConfig()
     if name in ("gy", "huneke", "br21"):
         if x is None:
@@ -456,6 +462,7 @@ def run_suite(name, R, x=None, cfg=None, a=None, nil_gens=None):
     if name == "fixedq":
         if x is None:
             raise ValueError("suite 'fixedq' needs a sequence")
+        _check_sample_count(cfg)
         verdict = is_usd_bounded(x, cfg.n_max)
         out = _fixedq_suite(R, x, cfg)
         out["hypothesis_verified"] = verdict.passed

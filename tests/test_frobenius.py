@@ -1,5 +1,6 @@
 """Frobenius powers, roots, preimages, closure chains and test exponents."""
 
+import itertools
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from fclosure.frobenius import (
     frobenius_power,
     frobenius_preimage,
     frobenius_root,
+    hsl_number,
     q_exponent,
 )
 from fclosure.ideals import (
@@ -21,12 +23,13 @@ from fclosure.ideals import (
     ideal_from_text,
     ideal_member,
     ideal_sum,
+    krull_dimension,
 )
 from fclosure.polyring import PolyRing
 from fclosure.sequences import limit_ideal
 from fclosure.workbench import builtin_ring, sample_parameter_ideals, SurveyConfig
 
-from helpers import closure_chain_oracle, kernel_preimage_oracle, random_ideal
+from helpers import closure_chain_oracle, kernel_preimage_oracle, monomials_up_to, random_ideal
 
 
 def test_frobenius_power_examples():
@@ -143,24 +146,34 @@ def test_closure_and_q_exponent_reject_empty_windows():
 
 
 def test_closure_window_too_short_is_unstabilized():
-    # the chain of (y) in NILLINE grows at e = 1 and settles only after it,
-    # so at e_max = 1 it stops at F_1 without a verdict
+    # (xy) in NILLINE is not primary to m, so no certificate applies; its
+    # chain grows at e = 1 and settles only after it, so at e_max = 1 it
+    # stops at F_1 without a verdict
     NIL = builtin_ring("NILLINE")
-    a = NIL.preimage([NIL.ring.var("y")])
+    a = NIL.preimage([NIL.ring.parse("x*y")])
     res = frobenius_closure(a, NIL, e_max=1)
-    assert not res.stabilized and res.e_star is None
+    assert not res.stabilized and res.e_star is None and not res.certified_upper
     assert res.examined_e == 1 and len(res.chain) == 2
     assert res.closure is res.chain[-1]
+    assert [str(g) for g in res.closure.basis()] == ["x"]
+    # the sop (y) is certified at the HSL number 1 = e_max
+    b = NIL.preimage([NIL.ring.var("y")])
+    res = frobenius_closure(b, NIL, e_max=1)
+    assert res.stabilized and res.certified_upper and res.e_star == 1
+    assert res.examined_e == 1 and len(res.chain) == 2
     assert [str(g) for g in res.closure.basis()] == ["x", "y"]
 
 
 def test_q_exponent_not_found():
     NIL = builtin_ring("NILLINE")
     a = NIL.preimage([NIL.ring.var("y")])
-    # the closure chain does not stabilize within the window
+    # the closure chain of (xy), which no certificate covers, does not
+    # stabilize within the window
     with pytest.raises(QExponentNotFoundError, match="did not stabilize") as info:
-        q_exponent(a, NIL, e_max=1)
+        q_exponent(NIL.preimage([NIL.ring.parse("x*y")]), NIL, e_max=1)
     assert info.value.e_max == 1
+    # the certified chain of (y) needs no more than e = 1
+    assert q_exponent(a, NIL, e_max=1) == FrobeniusExponent(1, 2)
     # a given closure whose powers first agree at e = 1
     closure = NIL.preimage([NIL.ring.var("x"), NIL.ring.var("y")])
     with pytest.raises(QExponentNotFoundError, match="equalizes") as info:
@@ -256,3 +269,113 @@ def test_fermat3_closure_golden():
     assert [str(g) for g in res.closure.basis()] == ["x^2", "y", "z"]
     Q = q_exponent(a, F, e_max=4, closure=res.closure)
     assert (Q.e, Q.q) == (1, 5)
+
+
+# ---------------------------------------------------------------------------
+# the Katzman-Sharp certificate: a^F = F_eta on a homogeneous full system of
+# parameters of a homogeneous hypersurface, with eta the HSL number
+
+
+@pytest.mark.parametrize(
+    "name, p, eta",
+    [("FERMAT3", 2, 1), ("FERMAT3", 5, 1), ("FERMAT3", 11, 1), ("NILLINE", 2, 1), ("REG", 5, 0)],
+)
+def test_hsl_number_of_the_hypersurfaces(name, p, eta):
+    R = builtin_ring(name, p=p)
+    assert hsl_number(R, 5) == eta
+    assert hsl_number(R, eta) == eta
+    # the chain of B_e needs e = eta + 1 to see that it settled at eta
+    if eta:
+        assert hsl_number(R, eta - 1) is None
+
+
+def test_hsl_number_needs_a_homogeneous_hypersurface():
+    assert hsl_number(builtin_ring("TWOPLANES"), 5) is None
+    ring = PolyRing(2, ("x", "y"))
+    assert hsl_number(QuotientRing(ring, [ring.parse("x^2 + y^3")]), 5) is None
+    # J = (x^2, x^3) is the principal ideal (x^2) of NILLINE
+    assert hsl_number(QuotientRing(ring, [ring.parse("x^2"), ring.parse("x^3")]), 5) == 1
+    with pytest.raises(ValueError, match="e_max"):
+        hsl_number(builtin_ring("NILLINE"), -1)
+
+
+def _linear_sops(R, seed, count):
+    """The coordinate systems of parameters of R, and ``count`` sampled
+    ones of linear forms."""
+    ring = R.ring
+    coordinate = [
+        R.preimage([ring.var(v) for v in names])
+        for names in itertools.combinations(ring.variables, R.dimension)
+    ]
+    coordinate = [a for a in coordinate if krull_dimension(a) == 0]
+    cfg = SurveyConfig(sample_count=count, seed=seed, lengths=(R.dimension,))
+    sampled = [R.preimage(seq.effective()) for seq in sample_parameter_ideals(R, cfg).sequences]
+    return coordinate, sampled
+
+
+def _stage(a, R, e):
+    return ideal_sum(frobenius_power(ideal_sum(a, R.J), e), R.J)
+
+
+def _assert_certified(a, R, eta):
+    # the chain stops at eta; e* is where it reached F_eta, and Q <= p^eta
+    res = frobenius_closure(a, R)
+    assert res.stabilized and res.certified_upper and res.certified_lower
+    assert res.examined_e == eta and len(res.chain) == eta + 1
+    assert res.e_star == min(e for e, F in enumerate(res.chain) if ideal_equal(F, res.closure))
+    Q = q_exponent(a, R, closure=res.closure)
+    assert Q.q == R.p**res.e_star <= R.p**eta
+    return res
+
+
+@pytest.mark.parametrize("name, p", [("FERMAT3", 2), ("NILLINE", 2)])
+def test_certified_closure_is_the_lookahead_verdict(name, p):
+    # the lookahead window, recomputed directly: F_e = F_eta for e = eta,
+    # eta + 1 and eta + 2
+    R = builtin_ring(name, p=p)
+    eta = hsl_number(R, 5)
+    coordinate, sampled = _linear_sops(R, seed=2, count=4)
+    assert len(coordinate) == {"FERMAT3": 3, "NILLINE": 1}[name]
+    for a in coordinate + sampled:
+        res = _assert_certified(a, R, eta)
+        for e in (eta, eta + 1, eta + 2):
+            assert ideal_equal(frobenius_preimage(_stage(a, R, e), e), res.closure)
+
+
+def test_certified_closure_matches_the_kernel_oracle_at_p5():
+    # at p = 5 the preimage engine runs out of its module basis budget at
+    # e = 2 on (x, y) and on most other sops, so the stages beyond eta are
+    # read from the linear-algebra oracle: its part of degree <= 2, plus
+    # m^2 inside the closure, decides F_e = F_eta.  The oracle needs 5 s
+    # for e = eta + 2 on a sampled sop, so those stop at eta + 1.
+    F = builtin_ring("FERMAT3", p=5)
+    eta = hsl_number(F, 5)
+    coordinate, sampled = _linear_sops(F, seed=2, count=2)
+    square = [F.ring.monomial(m) for m in monomials_up_to(3, 2) if sum(m) == 2]
+    for a in coordinate + sampled:
+        res = _assert_certified(a, F, eta)
+        assert all(ideal_member(m, res.closure) for m in square)
+        exponents = (eta + 1, eta + 2) if a in coordinate else (eta + 1,)
+        for e in exponents:
+            assert ideal_equal(kernel_preimage_oracle(_stage(a, F, e), e, 2), res.closure)
+
+
+def test_certificate_needs_a_homogeneous_full_sop_of_a_hypersurface():
+    # TWOPLANES is no hypersurface; (y) is a partial sop of FERMAT3; y + x^2
+    # is inhomogeneous.  Each runs the lookahead window: it ends lookahead
+    # = 2 equal steps after e*
+    cases = [
+        (builtin_ring("TWOPLANES"), "x + z; y + w"),
+        (builtin_ring("FERMAT3", p=2), "y"),
+        (builtin_ring("FERMAT3", p=2), "y + x^2; z"),
+        (builtin_ring("NILLINE"), "y^2 + x"),
+    ]
+    for R, text in cases:
+        a = R.preimage([R.ring.parse(t) for t in text.split(";")])
+        res = frobenius_closure(a, R)
+        assert res.stabilized and not res.certified_upper, text
+        assert res.examined_e == res.e_star + 2 and len(res.chain) == res.examined_e + 1
+    # a window shorter than the HSL chain leaves the lookahead path too
+    F = builtin_ring("FERMAT3", p=2)
+    res = frobenius_closure(F.preimage([F.ring.var("y"), F.ring.var("z")]), F, e_max=0)
+    assert not res.stabilized and not res.certified_upper and res.examined_e == 0

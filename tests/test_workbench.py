@@ -232,27 +232,42 @@ def test_survey_regular_all_trivial():
 
 
 def test_survey_records_unstabilized_chains():
-    # every sampled line of NILLINE has e* = 1, so e_max = 2 ends each
-    # chain one equality short of the lookahead window
+    # every line NILLINE samples at seed 8 is inhomogeneous, so no
+    # certificate applies; each has e* = 1, so e_max = 2 ends each chain
+    # one equality short of the lookahead window
     NIL = builtin_ring("NILLINE")
-    report = survey_uniform_q(NIL, SurveyConfig(sample_count=4, seed=1, max_degree=2, e_max=2))
+    report = survey_uniform_q(NIL, SurveyConfig(sample_count=4, seed=8, max_degree=2, e_max=2))
     assert [r["status"] for r in report.records] == ["unstabilized"] * 4
     assert all(r["e_star"] == 1 and r["examined_e"] == 2 for r in report.records)
     assert not any("q_exponent" in r for r in report.records)
     assert report.aggregate == {"max_q": None, "histogram": {}, "indeterminate": 4, "certified": 0}
     assert not report.all_stabilized
+    # at seed 1 the homogeneous lines x^2 + y^2, x + y and x^2 + x*y + y^2
+    # are certified at the HSL number 1; only x*y + x + y stays open
+    report = survey_uniform_q(NIL, SurveyConfig(sample_count=4, seed=1, max_degree=2, e_max=2))
+    assert [r["status"] for r in report.records] == ["unstabilized", "ok", "ok", "ok"]
+    assert [(r["e_star"], r["examined_e"]) for r in report.records] == [(1, 2)] + [(1, 1)] * 3
+    assert report.aggregate == {"max_q": 2, "histogram": {"2": 3}, "indeterminate": 1, "certified": 3}
 
 
 def test_survey_records_budget_errors():
     # a degree budget of 6 lets the sampler through but stops the closure
-    # chain of the third sample
-    NIL = builtin_ring("NILLINE", config=EngineConfig(max_poly_degree=6))
-    report = survey_uniform_q(NIL, SurveyConfig(sample_count=4, seed=1, max_degree=2, e_max=3))
-    assert [r["status"] for r in report.records] == ["ok", "ok", "error", "ok"]
-    failed = report.records[2]
+    # chain of the fourth sample; TWOPLANES is no hypersurface, so every
+    # chain runs the lookahead window
+    TW = builtin_ring("TWOPLANES", config=EngineConfig(max_poly_degree=6))
+    report = survey_uniform_q(TW, SurveyConfig(sample_count=4, seed=1, max_degree=2, e_max=3))
+    assert [r["status"] for r in report.records] == ["ok", "ok", "ok", "error"]
+    failed = report.records[3]
     assert failed["cause"] == "reduction exceeded the degree budget 6"
     assert "closure" not in failed and "q_exponent" not in failed
-    assert report.aggregate == {"max_q": 2, "histogram": {"2": 3}, "indeterminate": 1, "certified": 3}
+    assert report.aggregate == {"max_q": 1, "histogram": {"1": 3}, "indeterminate": 1, "certified": 3}
+    # on NILLINE the third sample, x + y, hit the budget at e = 3; it is
+    # certified at e = 1 now, as are the other two homogeneous lines
+    NIL = builtin_ring("NILLINE", config=EngineConfig(max_poly_degree=6))
+    report = survey_uniform_q(NIL, SurveyConfig(sample_count=4, seed=1, max_degree=2, e_max=3))
+    assert [r["status"] for r in report.records] == ["ok"] * 4
+    assert [r["examined_e"] for r in report.records] == [3, 1, 1, 1]
+    assert report.aggregate == {"max_q": 2, "histogram": {"2": 4}, "indeterminate": 0, "certified": 4}
 
 
 def test_survey_report_byte_identical():
@@ -414,6 +429,8 @@ def test_cli_operational_errors(capsys):
         ('usd --ring TWOPLANES --seq "x+z; y+w" --nmax 0', "n_max must be at least 1"),
         ('verify gy --ring TWOPLANES --seq "x+z; y+w" --nmax 0', "n_max must be at least 1"),
         ('verify fixedq --ring TWOPLANES --seq "x+z; y+w" --emax -1', "e_max must be non-negative"),
+        ('verify fixedq --ring TWOPLANES --seq "x+z; y+w" --samples 0', "sample_count must be at least 1, not 0"),
+        ('verify fixedq --ring TWOPLANES --seq "x+z; y+w" --samples -3', "sample_count must be at least 1, not -3"),
         ("survey-q --ring TWOPLANES --samples 0", "sample_count must be at least 1, not 0"),
         ("survey-q --ring TWOPLANES --samples -3", "sample_count must be at least 1, not -3"),
         ("survey-q --ring REG --degree 0 --samples 2", "max_degree must be at least 1, not 0"),
@@ -429,16 +446,29 @@ def test_cli_rejects_empty_windows_and_boxes(command, message, capsys):
 
 
 def test_cli_indeterminate_outcomes_exit_2(capsys):
-    assert main(["fclosure", "--ring", "NILLINE", "--ideal", "y", "--emax", "1"]) == 2
+    # (x*y) and the seed-8 lines are outside the certificate (see the tests above)
+    assert main(["fclosure", "--ring", "NILLINE", "--ideal", "x*y", "--emax", "1"]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "x",
+        "e_star: None  stabilized: False  certified_lower: True  certified_upper: False  "
+        "examined e <= 1",
+    ]
+    assert main(["qexp", "--ring", "NILLINE", "--ideal", "x*y", "--emax", "1"]) == 2
+    assert "did not stabilize within e <= 1" in capsys.readouterr().err
+    args = ["survey-q", "--ring", "NILLINE", "--samples", "4", "--degree", "2", "--emax", "2"]
+    assert main([*args, "--seed", "8"]) == 2
+    assert capsys.readouterr().out.splitlines()[0] == "samples: 4  certified: 0  indeterminate: 4"
+    # the sop (y) is certified at e = 1, and so are three of the seed-1 lines
+    assert main(["fclosure", "--ring", "NILLINE", "--ideal", "y", "--emax", "1"]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "x; y",
-        "e_star: None  stabilized: False  certified_lower: True  examined e <= 1",
+        "e_star: 1  stabilized: True  certified_lower: True  certified_upper: True  "
+        "examined e <= 1",
     ]
-    assert main(["qexp", "--ring", "NILLINE", "--ideal", "y", "--emax", "1"]) == 2
-    assert "did not stabilize within e <= 1" in capsys.readouterr().err
-    args = ["survey-q", "--ring", "NILLINE", "--samples", "4", "--seed", "1", "--degree", "2"]
-    assert main([*args, "--emax", "2"]) == 2
-    assert capsys.readouterr().out.splitlines()[0] == "samples: 4  certified: 0  indeterminate: 4"
+    assert main(["qexp", "--ring", "NILLINE", "--ideal", "y", "--emax", "1"]) == 0
+    assert capsys.readouterr().out == "Q = 2 = 2^1\n"
+    assert main([*args, "--seed", "1"]) == 2
+    assert capsys.readouterr().out.splitlines()[0] == "samples: 4  certified: 3  indeterminate: 1"
 
 
 def test_cli_nil_lists_target_generators_in_the_order_given(capsys):
@@ -513,8 +543,8 @@ _PINNED_RUNS = [
      "f89e60867dfa4fdd5244a8c422884583baebcd68ce34e5657fdb85a8510e0818",
      "9dfb6f56e23dfaf5c555e561cc9100a11cb351dbc429fb5153b57e7de136b02a"),
     ("fclosure", 'fclosure --ring NILLINE --ideal y', 0,
-     "0f8ae2504cb5aa777a99f1e57d879c50e81f7bfd0cfbe1c1ed07dbb3aed42740",
-     "c5dbc95644c7a1b2bd34347005045d2ed75a2fc65aca68ed6d6522df9f474c7c"),
+     "71876264aa5c2e4f0b70254b7115b0a3c93f49e06b8965387711b3780e414f2c",
+     "1ae2f015c63567b4fa8b47b312fdfbfd020fe2df9f8b8f9682c7f96e59cc4028"),
     ("qexp", 'qexp --ring NILLINE --ideal y', 0,
      "1f6cef31948327ff9c9f296d02f6a82e1293368ab17c0a8b42704751741e7530",
      "1a796de5aa40c703bdff0f2911f66c0559731d12f24d8c48b088892d117ca11e"),
