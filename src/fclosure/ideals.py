@@ -113,7 +113,7 @@ class Ideal:
     :class:`fclosure.frobenius.QuotientRing`.
     """
 
-    __slots__ = ("ring", "gens", "_basis")
+    __slots__ = ("ring", "gens", "_basis", "_settled")
 
     def __init__(self, ring, gens):
         gens = tuple(g for g in gens if not g.is_zero())
@@ -123,6 +123,10 @@ class Ideal:
         self.ring = ring
         self.gens = gens
         self._basis = None
+        # lengths of leading runs of ``gens`` that are each a Groebner
+        # basis, whose S-pairs Buchberger need not form (set only by
+        # _eliminate_intersection)
+        self._settled = ()
 
     def basis(self):
         return groebner_basis(self)
@@ -278,7 +282,9 @@ def groebner_basis(ideal):
 
     Buchberger with the coprime-leading-term and chain criteria, normal
     pair-selection strategy (smallest lcm in the ring order, then input
-    position).
+    position).  On the big-ring ideal of :func:`intersect` it also forms
+    no S-pair inside the two runs of generators built from the reduced
+    bases of I and K (the block rule; see :func:`_eliminate_intersection`).
     """
     if ideal._basis is None:
         ideal._basis = _reused("gb", ideal.ring, (ideal.gens,), lambda: _buchberger(ideal))
@@ -289,7 +295,12 @@ def _buchberger(ideal):
     """Compute the reduced basis of ``ideal`` (its elimination basis on a
     block-order ring).  Every element enters the working basis monic, so no
     reduction divides by a leading coefficient; one heap-key table serves
-    every reduction of the run."""
+    every reduction of the run.
+
+    No pair inside one of the runs that ``ideal._settled`` records is
+    formed: each run is a Groebner basis, so its S-pairs already have
+    standard representations, and the chain criterion counts them as
+    treated, as it counts coprime pairs."""
     ring = ideal.ring
     config = ring.config
     key = ring.order.key
@@ -299,10 +310,14 @@ def _buchberger(ideal):
     lms = []
     pending = set()
     heap = []
+    # the index at which each generator's settled run starts
+    run_start = []
+    for n in ideal._settled:
+        run_start += [len(run_start)] * n
 
     def push_pairs(j):
         lj = lms[j]
-        for i in range(j):
+        for i in range(run_start[j] if j < len(run_start) else j):
             li = lms[i]
             lcm = tuple(map(max, li, lj))
             if lcm == tuple(map(add, li, lj)):
@@ -442,8 +457,10 @@ def unit_ideal(ring):
 
 def intersect(I, K):
     """I intersect K via the auxiliary-variable construction
-    (t*I + (1-t)*K, then eliminate t with a block order); memoized on the
-    ring and both generator lists inside a :func:`memo_scope` call."""
+    (t*I + (1-t)*K, then eliminate t with a block order), with its reduced
+    basis already set; memoized on the ring and both generator lists inside
+    a :func:`memo_scope` call.  t*I + (1-t)*K is built from the reduced
+    bases of I and K, whose S-pairs Buchberger does not form again."""
     if I.ring != K.ring:
         raise RingMismatchError("ideals live in different rings")
     ring = I.ring
@@ -457,18 +474,27 @@ def intersect(I, K):
 
 def _eliminate_intersection(I, K):
     """The reduced basis of I intersect K: the elimination basis of
-    t*I + (1-t)*K, projected back to the ring of I and K."""
+    t*I + (1-t)*K built from the reduced bases of I and K, projected back
+    to the ring of I and K.
+
+    Under the block order t*g and (1-t)*g both lead with t*lm(g), so t*B
+    and (1-t)*B are Groebner bases whenever B is one: an S-pair inside
+    either run is t or 1-t times a base-ring S-pair and keeps its standard
+    representation.  The big-ring ideal records the two runs as settled."""
     ring = I.ring
     big = ring.extended(1)
     p = ring.p
+    basis_i, basis_k = groebner_basis(I), groebner_basis(K)
     # t dominates the block order, so t*g keeps the term order of g, and
     # the terms of (1-t)*g are those of -t*g followed by those of g
-    gens = [_sorted_poly(big, [(e + (1,), c) for e, c in g.terms_sorted()]) for g in I.gens]
-    for g in K.gens:
+    gens = [_sorted_poly(big, [(e + (1,), c) for e, c in g.terms_sorted()]) for g in basis_i]
+    for g in basis_k:
         terms = g.terms_sorted()
         minus_t_g = [(e + (1,), p - c) for e, c in terms]
         gens.append(_sorted_poly(big, minus_t_g + [(e + (0,), c) for e, c in terms]))
-    return tuple(ring.project(g) for g in groebner_basis(Ideal(big, gens)))
+    big_ideal = Ideal(big, gens)
+    big_ideal._settled = (len(basis_i), len(basis_k))
+    return tuple(ring.project(g) for g in groebner_basis(big_ideal))
 
 
 def _exact_quotient(h, g):
@@ -508,7 +534,8 @@ def _exact_quotient(h, g):
 
 
 def colon(I, K):
-    """(I : K) = {r : rK in I}; memoized on the ring and both generator
+    """(I : K) = {r : rK in I}, with its reduced basis already set, as
+    :func:`intersect` sets it; memoized on the ring and both generator
     lists inside a :func:`memo_scope` call.  Colon by the zero ideal returns
     the unit ideal with a warning, by convention, on every call."""
     if I.ring != K.ring:
@@ -517,17 +544,26 @@ def colon(I, K):
     if not K.gens:
         warnings.warn("colon by the zero ideal: returning the unit ideal", ColonByZeroWarning)
         return unit_ideal(ring)
-    return Ideal(ring, _reused("colon", ring, (I.gens, K.gens), lambda: _colon_gens(I, K)))
+    quotient = Ideal(ring, _reused("colon", ring, (I.gens, K.gens), lambda: _colon_gens(I, K)))
+    quotient._basis = quotient.gens  # already the reduced basis of (I : K)
+    return quotient
 
 
 def _colon_gens(I, K):
-    """Generators of (I : K), the intersection over g in K of (I : g), each
-    (I : g) being (I intersect (g)) divided by g."""
+    """The reduced basis of (I : K), the intersection over g in K of
+    (I : g), each (I : g) being (I intersect (g)) divided by g.
+
+    The quotients h/g of the reduced basis of I intersect (g) are a minimal
+    Groebner basis of (I : g): for f in (I : g) some lm(h) divides
+    lm(f*g) = lm(f)*lm(g), and lm(h) = lm(h/g)*lm(g).  Made monic and
+    interreduced, they are its reduced basis; for more than one g the last
+    intersection returns the reduced basis."""
     ring = I.ring
     result = None
     for g in K.gens:
         meet = intersect(I, Ideal(ring, [g]))
-        part = Ideal(ring, [_exact_quotient(h, g) for h in meet.gens])
+        part = Ideal(ring, _interreduce([_monic(_exact_quotient(h, g)) for h in meet.gens]))
+        part._basis = part.gens
         result = part if result is None else intersect(result, part)
     return result.gens
 

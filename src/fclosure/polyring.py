@@ -15,7 +15,7 @@ import re
 from operator import neg
 
 from .config import DEFAULT_CONFIG
-from .errors import ExponentOverflowError, ParseError, RingMismatchError
+from .errors import BudgetExceededError, ExponentOverflowError, ParseError, RingMismatchError
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()]))")
@@ -405,14 +405,23 @@ class Polynomial:
         return result
 
     def frobenius(self, e=1):
-        """The p**e-th power, computed termwise (exact over the prime field)."""
+        """The p**e-th power, computed termwise (exact over the prime field).
+        Like every polynomial the engine builds, it may not exceed the ring's
+        degree budget."""
         if e < 0:
             raise ValueError("Frobenius exponent must be non-negative")
         if e == 0:
             return self
+        config = self.ring.config
         q = self.ring.p**e
-        if self.total_degree() * q > self.ring.config.exponent_cap:
+        degree = self.total_degree() * q
+        if degree > config.exponent_cap:
             raise ExponentOverflowError(f"Frobenius power p**{e} would exceed the exponent cap")
+        if degree > config.max_poly_degree:
+            raise BudgetExceededError(
+                f"Frobenius power p**{e} exceeded the degree budget {config.max_poly_degree}",
+                kind="degree",
+            )
         return Polynomial(self.ring, {tuple(q * x for x in exps): c for exps, c in self._terms.items()})
 
     # -- identity ----------------------------------------------------------

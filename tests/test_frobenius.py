@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from fclosure.errors import ExponentOverflowError, QExponentNotFoundError
+from fclosure.config import EngineConfig
+from fclosure.errors import BudgetExceededError, ExponentOverflowError, QExponentNotFoundError
 from fclosure.frobenius import (
     FrobeniusExponent,
     QuotientRing,
@@ -57,6 +58,22 @@ def test_frobenius_power_cap():
     ring = PolyRing(2, ["x"])
     with pytest.raises(ExponentOverflowError):
         frobenius_power(ideal_from_text("x", ring), 9)
+
+
+def test_degree_budget_bounds_frobenius_powers():
+    # (y^2 + x) on NILLINE is inhomogeneous, so its chain runs the lookahead
+    # window; its stage at e = 1 already holds y^4 + x^2, past a budget of 2
+    R = builtin_ring("NILLINE", config=EngineConfig(max_poly_degree=2))
+    f = R.ring.parse("y^2 + x")
+    with pytest.raises(BudgetExceededError) as err:
+        frobenius_closure(R.preimage([f]), R, e_max=3)
+    assert err.value.kind == "degree"
+    assert str(err.value) == "Frobenius power p**1 exceeded the degree budget 2"
+    # a power of degree exactly the budget is built
+    wide = builtin_ring("NILLINE", config=EngineConfig(max_poly_degree=16))
+    assert wide.ring.parse("y^2 + x").frobenius(3).total_degree() == 16
+    res = frobenius_closure(wide.preimage([wide.ring.parse("y^2 + x")]), wide, e_max=3)
+    assert res.stabilized
 
 
 def test_frobenius_root_examples():

@@ -4,6 +4,7 @@ saturation, dimension, radical membership."""
 import random
 
 import pytest
+import sympy
 
 import fclosure.ideals as ideals
 import fclosure.polyring as polyring
@@ -120,7 +121,6 @@ def test_interreduce_reduces_each_kept_element_once(monkeypatch):
 
 def test_groebner_matches_sympy_oracle():
     # reduced grevlex bases agree with sympy's, an independent implementation
-    sympy = pytest.importorskip("sympy")
     names = ["x", "y", "z"]
     syms = sympy.symbols(names)
     rng = random.Random(20261018)
@@ -316,7 +316,6 @@ def test_elimination_basis_is_the_aux_free_part(monkeypatch):
 def test_intersect_matches_sympy_elimination():
     # sympy's lex basis of t*I + (1-t)*K with t first, cut to its t-free
     # elements, has the same reduced grevlex basis as our intersection
-    sympy = pytest.importorskip("sympy")
     names = ["x", "y", "z"]
     syms = sympy.symbols(names)
     t = sympy.Symbol("t")
@@ -338,17 +337,24 @@ def test_intersect_matches_sympy_elimination():
             assert {frozenset(g._terms.items()) for g in intersect(I, K).basis()} == expected
 
 
-# order-key calls of the fixed job below, measured when sequences derived
-# from a checked one came to share its elements unreduced (1329 before, 1834
-# before ideals kept their generators in the order given, 2501 before colons
-# by powers and products of sequence elements were iterated by the raw
-# elements, 5864 before generators were ordered by their leading monomials,
-# 12299 before one key table per basis)
-ORDER_KEY_CALLS = 1323
+# order-key calls of the fixed job below, measured when intersections came
+# to start from the reduced bases of their operands and colons to keep
+# their reduced basis (1323 before, 1329 before sequences derived from a
+# checked one came to share its elements unreduced, 1834 before ideals kept
+# their generators in the order given, 2501 before colons by powers and
+# products of sequence elements were iterated by the raw elements, 5864
+# before generators were ordered by their leading monomials, 12299 before
+# one key table per basis)
+ORDER_KEY_CALLS = 1233
 
-# Buchberger runs of the USD box check below, measured when its colons came
-# to be iterated by the raw elements (119 before)
-USD_BUCHBERGER_RUNS = 49
+# S-polynomials the same job forms, measured when intersections came to
+# skip the S-pairs inside the reduced bases of their operands (157 before)
+SPOLY_CALLS = 127
+
+# Buchberger runs of the USD box check below, measured when colons came to
+# keep their reduced basis (49 before, 119 before its colons were iterated
+# by the raw elements)
+USD_BUCHBERGER_RUNS = 48
 
 
 def _reg_sop():
@@ -366,6 +372,16 @@ def test_order_key_calls_stay_within_the_gate(monkeypatch):
         monkeypatch.setattr(cls, "key", lambda self, exps, key=key: calls.append(1) or key(self, exps))
     assert sequences.verify_identity_suite(x, 1).all_passed
     assert len(calls) <= ORDER_KEY_CALLS
+
+
+def test_spoly_calls_stay_within_the_gate(monkeypatch):
+    # a deterministic work counter: the same identity suite may form at
+    # most SPOLY_CALLS S-polynomials
+    x = _reg_sop()
+    calls = []
+    monkeypatch.setattr(ideals, "_spoly", lambda f, g: calls.append(1) or _spoly(f, g))
+    assert sequences.verify_identity_suite(x, 1).all_passed
+    assert len(calls) <= SPOLY_CALLS
 
 
 def test_usd_buchberger_runs_stay_within_the_gate(monkeypatch):

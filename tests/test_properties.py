@@ -1,24 +1,24 @@
 """Property tests for the ideal operations: intersections lie in both
 ideals, colons multiply back into the dividend, a colon by a product or a
-power equals the chain of colons by its factors, membership does not depend
-on the monomial order, exact division inverts multiplication, generators
-are kept in the order given, a returned basis carries its certificate and
-does not depend on the generator order, presorted terms are sorted,
-Frobenius preimage generators satisfy their certificate, and the closure
-chain ascends to Q(a) = p^{e*}.  Derandomized, so every run draws the same
-examples."""
+power equals the chain of colons by its factors, an intersection that skips
+the S-pairs inside the reduced bases of its operands (the block rule) gives
+the raw elimination and a certified big-ring basis, a colon carries its
+reduced basis, membership does not depend on the monomial order, exact
+division inverts multiplication, generators are kept in the order given, a
+returned basis carries its certificate and does not depend on the generator
+order, presorted terms are sorted, Frobenius preimage generators satisfy
+their certificate, and the closure chain ascends to Q(a) = p^{e*}.
+Derandomized, so every run draws the same examples."""
 
 from itertools import permutations, product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
-
-import fclosure.ideals as ideals  # noqa: E402
-from fclosure.errors import InternalError  # noqa: E402
-from fclosure.frobenius import frobenius_closure, frobenius_preimage, q_exponent  # noqa: E402
-from fclosure.ideals import (  # noqa: E402
+import fclosure.ideals as ideals
+from fclosure.errors import InternalError
+from fclosure.frobenius import frobenius_closure, frobenius_preimage, q_exponent
+from fclosure.ideals import (
     Ideal,
     colon,
     ideal_contains,
@@ -29,9 +29,9 @@ from fclosure.ideals import (  # noqa: E402
     normal_form,
     scale_ideal,
 )
-from fclosure.polyring import BlockOrder, PolyRing  # noqa: E402
-from fclosure.sequences import _colon_by_power  # noqa: E402
-from fclosure.workbench import builtin_ring  # noqa: E402
+from fclosure.polyring import BlockOrder, PolyRing
+from fclosure.sequences import _colon_by_power
+from fclosure.workbench import builtin_ring
 
 PRIMES = (2, 3, 5)
 NAMES = ("x", "y", "z")
@@ -91,6 +91,81 @@ def test_colon_by_a_product_or_power_is_the_chain_of_colons(p, i_gens, k_gens, a
     by_a = colon(I, Ideal(ring, [a]))
     assert ideal_equal(colon(by_a, Ideal(ring, [b])), colon(I, Ideal(ring, [a * b])))
     assert ideal_equal(_colon_by_power(I, a, n), colon(I, Ideal(ring, [a**n])))
+
+
+# the block rule of intersect: t*I + (1-t)*K is built from the reduced
+# bases of I and K, and no S-pair inside either run is formed
+BLOCK_RINGS = [PolyRing(p, NAMES, order=order) for p in (2, 3, 5, 7) for order in ("grevlex", "lex")]
+
+
+@CASES
+@given(st.sampled_from(BLOCK_RINGS), IDEAL, IDEAL)
+def test_intersection_from_settled_runs_is_the_raw_elimination(ring, i_gens, k_gens):
+    # the same reduced basis as eliminating t from the raw generators with
+    # every S-pair formed
+    I, K = _ideal(ring, i_gens), _ideal(ring, k_gens)
+    if not (I.gens and K.gens):
+        return
+    big = ring.extended(1)
+    t = big.var(big.variables[-1])
+    raw = [t * ring.lift(g, big) for g in I.gens] + [(big.one - t) * ring.lift(g, big) for g in K.gens]
+    raw = Ideal(big, raw)
+    assert raw._settled == ()
+    assert intersect(I, K).gens == tuple(ring.project(g) for g in ideals._buchberger(raw))
+
+
+@CASES
+@given(st.sampled_from(BLOCK_RINGS), IDEAL, IDEAL)
+def test_big_ring_basis_from_settled_runs_carries_its_certificate(ring, i_gens, k_gens):
+    # the working basis of the elimination, interreduced with its
+    # t-elements kept, is a Groebner basis of t*I + (1-t)*K: every S-pair
+    # reduces to zero with no pair criterion applied
+    I, K = _ideal(ring, i_gens), _ideal(ring, k_gens)
+    if not (I.gens and K.gens):
+        return
+    buchberger, interreduce = ideals._buchberger, ideals._interreduce
+    settled, working = [], []
+
+    def recorded_buchberger(ideal):
+        if ideal.ring != ring:
+            settled.append((ideal.gens, ideal._settled))
+        return buchberger(ideal)
+
+    def recorded_interreduce(G, keys=None, split=None):
+        if split is not None:
+            working.append(list(G))
+        return interreduce(G, keys, split)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ideals, "_buchberger", recorded_buchberger)
+        mp.setattr(ideals, "_interreduce", recorded_interreduce)
+        intersect(I, K)
+    [(gens, runs)] = settled
+    assert runs == (len(I.basis()), len(K.basis()))
+    [G] = working
+    full = interreduce(G)
+    for f, g in product(full, repeat=2):
+        if f is not g:
+            assert ideals._reduce_full(_s_polynomial(f, g), full).is_zero()
+    assert all(ideals._reduce_full(g, full).is_zero() for g in gens)
+
+
+@CASES
+@given(st.sampled_from(BLOCK_RINGS), IDEAL, IDEAL)
+# (x, y^2) : (x + y) over F_2, whose quotients x + y, y are not yet reduced
+@example(BLOCK_RINGS[0], [[((1, 0, 0), 1)], [((0, 2, 0), 1)]], [[((1, 0, 0), 1), ((0, 1, 0), 1)]])
+def test_colon_carries_its_reduced_basis_in_every_generator_order(ring, i_gens, k_gens):
+    # the reduced basis colon sets is the one Buchberger computes from its
+    # generators in any order, and no order of the divisor's generators
+    # changes it
+    I, K = _ideal(ring, i_gens), _ideal(ring, k_gens)
+    if not K.gens:
+        return  # colon by the zero ideal is the unit ideal by convention
+    basis = colon(I, K)._basis
+    for order in permutations(basis):
+        assert ideals._buchberger(Ideal(ring, order)) == basis
+    for order in permutations(K.gens):
+        assert colon(I, Ideal(ring, order))._basis == basis
 
 
 @CASES

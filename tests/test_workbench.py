@@ -251,19 +251,28 @@ def test_survey_records_unstabilized_chains():
 
 
 def test_survey_records_budget_errors():
-    # a degree budget of 6 lets the sampler through but stops the closure
+    # a degree budget of 8 lets the sampler through but stops the closure
     # chain of the fourth sample; TWOPLANES is no hypersurface, so every
-    # chain runs the lookahead window
-    TW = builtin_ring("TWOPLANES", config=EngineConfig(max_poly_degree=6))
+    # chain runs the lookahead window (below 8 the budget stops the
+    # Frobenius powers of every sample's chain)
+    TW = builtin_ring("TWOPLANES", config=EngineConfig(max_poly_degree=8))
     report = survey_uniform_q(TW, SurveyConfig(sample_count=4, seed=1, max_degree=2, e_max=3))
     assert [r["status"] for r in report.records] == ["ok", "ok", "ok", "error"]
     failed = report.records[3]
-    assert failed["cause"] == "reduction exceeded the degree budget 6"
+    assert failed["cause"] == "reduction exceeded the degree budget 8"
     assert "closure" not in failed and "q_exponent" not in failed
     assert report.aggregate == {"max_q": 1, "histogram": {"1": 3}, "indeterminate": 1, "certified": 3}
-    # on NILLINE the third sample, x + y, hit the budget at e = 3; it is
-    # certified at e = 1 now, as are the other two homogeneous lines
+    # on NILLINE the third sample, x + y, is certified at e = 1, as are the
+    # other two homogeneous lines; the chain of the inhomogeneous first
+    # sample runs to e = 3, where its stage holds a power of degree 16, so
+    # a budget of 6 stops it at the degree-8 power of e = 2, and 16 does not
     NIL = builtin_ring("NILLINE", config=EngineConfig(max_poly_degree=6))
+    report = survey_uniform_q(NIL, SurveyConfig(sample_count=4, seed=1, max_degree=2, e_max=3))
+    assert [r["status"] for r in report.records] == ["error", "ok", "ok", "ok"]
+    assert report.records[0]["cause"] == "Frobenius power p**2 exceeded the degree budget 6"
+    assert [r.get("examined_e") for r in report.records] == [None, 1, 1, 1]
+    assert report.aggregate == {"max_q": 2, "histogram": {"2": 3}, "indeterminate": 1, "certified": 3}
+    NIL = builtin_ring("NILLINE", config=EngineConfig(max_poly_degree=16))
     report = survey_uniform_q(NIL, SurveyConfig(sample_count=4, seed=1, max_degree=2, e_max=3))
     assert [r["status"] for r in report.records] == ["ok"] * 4
     assert [r["examined_e"] for r in report.records] == [3, 1, 1, 1]
