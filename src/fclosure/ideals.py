@@ -12,16 +12,29 @@ intersections and colons of rings without auxiliary variables are memoized
 on the ring and the generators, in any order (all through :func:`_reused`),
 so each distinct one is computed once; the memo is dropped when that call
 returns or raises.
+
+The Groebner core (:func:`_buchberger`, :func:`_reduce_full`,
+:func:`_spoly`, :func:`_interreduce`, :func:`_exact_quotient` and
+:func:`normal_form`) works on packed terms: each monomial is one int, whose
+layout :class:`_Packing` describes.  The order's part of it comes from
+:meth:`~fclosure.polyring.MonomialOrder.weights`, so only ``polyring``
+defines what an order is, and only this module knows the packed terms.
+The field width is worked out for each computation from the degree budget
+and the degrees of the polynomials it is given, never set by a user; see
+:class:`_Packing` for the bound that keeps every field from overflowing.
+Polynomials are packed on entry and unpacked on return with their sorted
+terms set; :class:`~fclosure.polyring.Polynomial` keeps exponent tuples.
+An :class:`Ideal` keeps its reduced basis packed for :func:`normal_form`.
 """
 
 from __future__ import annotations
 
 import contextvars
 import functools
-import heapq
 import warnings
+from heapq import heapify, heappop, heappush
 from itertools import combinations
-from operator import add, ge, neg, sub
+from operator import mul
 
 from .errors import BudgetExceededError, ColonByZeroWarning, InternalError, RingMismatchError
 from .polyring import BlockOrder, Polynomial
@@ -48,13 +61,12 @@ def memo_scope(fn):
     return scoped
 
 
-def _code(f):
-    """``f`` as a list of ints: its term count, then each term's exponents
-    and coefficient, descending in the order."""
-    terms = f.terms_sorted()
+def _code(terms):
+    """The (exponents, coefficient) pairs ``terms`` as a list of ints:
+    their count, then each term's exponents and coefficient."""
     out = [len(terms)]
     for exps, c in terms:
-        out.extend(exps)
+        out += exps
         out.append(c)
     return out
 
@@ -96,24 +108,34 @@ def _reused(kind, ring, operands, compute):
     memo = _MEMO.get()
     if memo is None or isinstance(ring.order, BlockOrder):
         return compute()
-    key = (kind, ring, *(_encode(sorted(map(_code, gens))) for gens in operands))
+    key = (kind, ring, *(_encode(sorted(_key_code(g) for g in gens)) for gens in operands))
     code = memo.get(key)
     if code is not None:
         return _decode(ring, code)
     polys = compute()
-    memo[key] = _encode(map(_code, polys))
+    # a result keeps the ring order, in which the core returns it sorted,
+    # so that its decoded terms come sorted too
+    memo[key] = _encode(_code(g.terms_sorted()) for g in polys)
     return polys
+
+
+def _key_code(f):
+    """The code of ``f`` in a memo key: a key needs only a canonical order
+    of terms, so it takes the plain order of exponent tuples, which costs no
+    order key."""
+    return _code(sorted(f._terms.items()))
 
 
 class Ideal:
     """An ideal of a polynomial ring, as its nonzero generators in the
-    order given plus a lazily cached reduced Groebner basis.
+    order given plus a lazily cached reduced Groebner basis (and, once a
+    normal form is asked for, that basis packed as divisors).
 
     Ideals of quotient rings are represented by their full preimages; see
     :class:`fclosure.frobenius.QuotientRing`.
     """
 
-    __slots__ = ("ring", "gens", "_basis", "_settled")
+    __slots__ = ("ring", "gens", "_basis", "_settled", "_divisors")
 
     def __init__(self, ring, gens):
         gens = tuple(g for g in gens if not g.is_zero())
@@ -127,6 +149,8 @@ class Ideal:
         # basis, whose S-pairs Buchberger need not form (set only by
         # _eliminate_intersection)
         self._settled = ()
+        # (packing, heads) of the reduced basis, set by normal_form
+        self._divisors = None
 
     def basis(self):
         return groebner_basis(self)
@@ -158,74 +182,103 @@ def ideal_from_text(text, ring):
 
 
 # ---------------------------------------------------------------------------
-# reduction
+# packed monomials
 
 
-class _HeapKeys(dict):
-    """Monomial -> heap key: its order key negated, so that a min-heap pops
-    the largest monomial first.  Each key is computed on first use; one
-    table serves one basis computation and is dropped with it."""
+@functools.lru_cache(maxsize=64)
+def _layout(order, n, width):
+    """The packing of ``n``-variable monomials under ``order`` in
+    ``width``-bit fields (see :class:`_Packing`): each variable's code, the
+    shifts of the exponent fields, the field mask, the guard bits, the
+    degree-field mask and the mask of the auxiliary exponent fields.  Ints
+    only, derived from the order's weights; nothing else is kept."""
+    base = 1 << width
+    top = base**n  # the degree field
+    codes = tuple(
+        w * top * base + top + (1 << width * i) for i, w in enumerate(order.weights(n, base))
+    )
+    shifts = tuple(range(0, n * width, width))
+    mask = base - 1
+    guard = sum(1 << shift + width - 1 for shift in range(0, (n + 1) * width, width))
+    split = order.split if isinstance(order, BlockOrder) else n
+    aux = sum(mask << shift for shift in shifts[split:])
+    return codes, shifts, mask, guard, mask * top, aux
 
-    __slots__ = ("_key",)
 
-    def __init__(self, order):
-        super().__init__()
-        self._key = order.key
+class _Packing:
+    """The packed monomials of computations on ``ring`` whose polynomials
+    have degree at most ``degree``.
 
-    def __missing__(self, exps):
-        k = self[exps] = tuple(map(neg, self._key(exps)))
-        return k
+    With B = 2**width, the monomial e of n variables is the int
+    X(e) = K(e)*B**(n+1) + deg(e)*B**n + sum_i e_i*B**i, where
+    K(e) = sum_i w_i*e_i is the order key read as a base-B numeral
+    (:meth:`~fclosure.polyring.MonomialOrder.weights`).  Below K lie n + 1
+    fields of ``width`` bits, the exponents and the total degree, each with
+    its top (guard) bit clear.  So X(a + b) = X(a) + X(b), X values compare
+    as their monomials do in the ring order, and a divides b exactly when
+    X(b) - X(a) has no guard bit set, that difference being X(b - a).
+
+    The width holds total degrees up to 3*``degree`` below the guard bits.
+    Every polynomial a computation is given has degree at most ``degree``,
+    which is at least the degree budget.  An S-polynomial of two of them
+    has degree at most 2*``degree``, and a reduction step adds at most
+    ``degree`` to one of its terms before the budget check reads the new
+    term's degree field.  A Buchberger run widens its packing before an
+    element above ``degree`` enters its basis.  So no field overflows."""
+
+    __slots__ = (
+        "ring", "p", "degree", "codes", "shifts", "mask", "guard", "dmask", "aux", "dlimit", "dshift"
+    )
+
+    def __init__(self, ring, degree):
+        n = len(ring.variables)
+        width = (3 * degree).bit_length() + 1
+        layout = _layout(ring.order, n, width)
+        self.codes, self.shifts, self.mask, self.guard, self.dmask, self.aux = layout
+        self.ring = ring
+        self.p = ring.p
+        self.degree = degree
+        self.dshift = n * width
+        self.dlimit = ring.config.max_poly_degree << self.dshift
+
+    def pack(self, exps):
+        return sum(map(mul, exps, self.codes))
+
+    def unpack(self, x):
+        mask = self.mask
+        return tuple([x >> shift & mask for shift in self.shifts])
+
+    def degree_of(self, terms):
+        """The total degree of the packed terms ``terms``."""
+        dmask = self.dmask
+        return max(x & dmask for x, _ in terms) >> self.dshift
 
 
-def _reduce_full(f, basis, keys=None):
-    """Fully reduce ``f`` against ``basis`` (a sequence of monic polynomials).
+def _packing_for(ring, polys):
+    """The packing of a computation on the polynomials ``polys`` of
+    ``ring``: the degree budget and every degree given fit its fields."""
+    return _Packing(ring, max(ring.config.max_poly_degree, *(f.total_degree() for f in polys)))
 
-    Divisor choice is the first basis element (in the given order) whose
-    leading monomial divides the current monomial, which makes the result
-    deterministic; against a reduced Groebner basis it is the unique normal
-    form.  ``keys`` is the :class:`_HeapKeys` table of the running basis
-    computation, if any.  Terms leave the heap in descending order, so the
-    remainder comes with its terms already sorted.
-    """
-    if f.is_zero() or not basis:
-        return f
-    ring = f.ring
-    p = ring.p
-    if keys is None:
-        keys = _HeapKeys(ring.order)
-    heads = [(g.leading_monomial(), g) for g in basis]
-    work = dict(f._terms)
-    out = []
-    heap = [(keys[e], e) for e in work]
-    heapq.heapify(heap)
-    max_deg = ring.config.max_poly_degree
-    while heap:
-        _, e = heapq.heappop(heap)
-        c = work.get(e)
-        if not c:
-            continue
-        for lm, g in heads:
-            if all(map(ge, e, lm)):
-                break
-        else:
-            del work[e]
-            out.append((e, c))
-            continue
-        shift = tuple(map(sub, e, lm))
-        for g_e, gc in g._terms.items():
-            ee = tuple(map(add, shift, g_e))
-            s = (work.get(ee, 0) - c * gc) % p
-            if s:
-                if ee not in work:
-                    if sum(ee) > max_deg:
-                        raise BudgetExceededError(
-                            f"reduction exceeded the degree budget {max_deg}", kind="degree"
-                        )
-                    heapq.heappush(heap, (keys[ee], ee))
-                work[ee] = s
-            else:
-                work.pop(ee, None)
-    return _sorted_poly(ring, out)
+
+def _pack(f, packing):
+    """The terms of ``f`` as (packed monomial, coefficient) pairs,
+    descending in the ring order."""
+    pack = packing.pack
+    if f._sorted is not None:
+        return [(pack(e), c) for e, c in f._sorted]
+    return sorted([(pack(e), c) for e, c in f._terms.items()], reverse=True)
+
+
+def _unpack(terms, packing):
+    """The polynomial with the descending packed terms ``terms``, with its
+    sorted terms set."""
+    unpack = packing.unpack
+    return _sorted_poly(packing.ring, [(unpack(x), c) for x, c in terms])
+
+
+def _repack(terms, old, new):
+    """The packed terms ``terms`` of the packing ``old`` in the packing ``new``."""
+    return [(new.pack(old.unpack(x)), c) for x, c in terms]
 
 
 def _sorted_poly(ring, terms):
@@ -236,34 +289,89 @@ def _sorted_poly(ring, terms):
     return f
 
 
-def _monic(f):
-    """``f`` scaled to leading coefficient 1, keeping its sorted terms."""
-    terms = f.terms_sorted()
+# ---------------------------------------------------------------------------
+# reduction on packed terms: a packed polynomial is a list of (packed
+# monomial, coefficient) pairs, descending; a divisor is given by its head,
+# the pair (leading monomial, remaining terms) of a monic one
+
+
+def _heads(G):
+    return [(g[0][0], g[1:]) for g in G]
+
+
+def _monic(terms, p):
+    """The packed polynomial ``terms`` scaled to leading coefficient 1."""
     c = terms[0][1]
     if c == 1:
-        return f
-    p = f.ring.p
+        return terms
     inv = pow(c, p - 2, p)
-    return _sorted_poly(f.ring, [(e, v * inv % p) for e, v in terms])
+    return [(x, v * inv % p) for x, v in terms]
 
 
-def _spoly(f, g):
-    """The S-polynomial m_f*f - m_g*g of the monic polynomials ``f`` and
-    ``g``, built from their term dicts."""
-    lf, lg = f.leading_monomial(), g.leading_monomial()
-    lcm = tuple(map(max, lf, lg))
-    mf = tuple(map(sub, lcm, lf))
-    mg = tuple(map(sub, lcm, lg))
-    p = f.ring.p
-    terms = {tuple(map(add, mf, e)): c for e, c in f._terms.items()}
-    for e, c in g._terms.items():
-        e = tuple(map(add, mg, e))
+def _reduce_full(f, heads, packing):
+    """Fully reduce the packed terms ``f`` (pairs or a dict) against the
+    divisors ``heads``; the remainder as a packed polynomial.
+
+    Divisor choice is the first head (in the given order) whose leading
+    monomial divides the current monomial, which makes the result
+    deterministic; against a reduced Groebner basis it is the unique normal
+    form.  Terms leave the heap in descending order, so the remainder comes
+    with its terms already sorted.  Every term a reduction creates is
+    checked against the degree budget.
+    """
+    p, guard = packing.p, packing.guard
+    dmask, dlimit = packing.dmask, packing.dlimit
+    work = dict(f)
+    heap = [-e for e in work]
+    heapify(heap)
+    out = []
+    while heap:
+        e = -heappop(heap)
+        c = work.pop(e, 0)
+        if not c:
+            continue
+        for lm, tail in heads:
+            shift = e - lm
+            if not shift & guard:
+                break
+        else:
+            out.append((e, c))
+            continue
+        for g_e, gc in tail:
+            ee = shift + g_e
+            old = work.get(ee)
+            if old is None:
+                if ee & dmask > dlimit:
+                    max_deg = packing.ring.config.max_poly_degree
+                    raise BudgetExceededError(
+                        f"reduction exceeded the degree budget {max_deg}", kind="degree"
+                    )
+                heappush(heap, -ee)
+                work[ee] = -c * gc % p
+            else:
+                s = (old - c * gc) % p
+                if s:
+                    work[ee] = s
+                else:
+                    del work[ee]
+    return out
+
+
+def _spoly(f, g, lcm, p):
+    """The S-polynomial m_f*f - m_g*g of the monic packed polynomials with
+    the heads ``f`` and ``g``, whose leading monomials have the packed lcm
+    ``lcm``, as a dict; the leading terms cancel and are not formed."""
+    (lf, f_tail), (lg, g_tail) = f, g
+    mf, mg = lcm - lf, lcm - lg
+    terms = {mf + e: c for e, c in f_tail}
+    for e, c in g_tail:
+        e += mg
         s = (terms.get(e, 0) - c) % p
         if s:
             terms[e] = s
         else:
-            terms.pop(e, None)
-    return Polynomial(f.ring, terms)
+            del terms[e]
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +401,9 @@ def groebner_basis(ideal):
 
 def _buchberger(ideal):
     """Compute the reduced basis of ``ideal`` (its elimination basis on a
-    block-order ring).  Every element enters the working basis monic, so no
-    reduction divides by a leading coefficient; one heap-key table serves
-    every reduction of the run.
+    block-order ring).  The generators are packed on entry and the basis
+    unpacked on return; every element enters the working basis monic, so
+    no reduction divides by a leading coefficient.
 
     No pair inside one of the runs that ``ideal._settled`` records is
     formed: each run is a Groebner basis, so its S-pairs already have
@@ -303,11 +411,15 @@ def _buchberger(ideal):
     treated, as it counts coprime pairs."""
     ring = ideal.ring
     config = ring.config
-    key = ring.order.key
-    keys = _HeapKeys(ring.order)
+    p = ring.p
+    if not ideal.gens:
+        return ()
+    packing = _packing_for(ring, ideal.gens)
 
-    G = []
-    lms = []
+    G = []  # the working basis, packed and monic
+    heads = []  # its heads, the divisors of every reduction
+    lms = []  # its packed leading monomials
+    exps = []  # and their exponents, for the lcms
     pending = set()
     heap = []
     # the index at which each generator's settled run starts
@@ -316,26 +428,28 @@ def _buchberger(ideal):
         run_start += [len(run_start)] * n
 
     def push_pairs(j):
-        lj = lms[j]
+        lj, ej = lms[j], exps[j]
         for i in range(run_start[j] if j < len(run_start) else j):
-            li = lms[i]
-            lcm = tuple(map(max, li, lj))
-            if lcm == tuple(map(add, li, lj)):
+            lcm = packing.pack(map(max, exps[i], ej))
+            if lcm == lms[i] + lj:
                 continue  # coprime leading terms: s-poly reduces to zero
             pending.add((i, j))
-            heapq.heappush(heap, (key(lcm), i, j, lcm))
+            heappush(heap, (lcm, i, j))
 
     def enter(f):
-        G.append(_monic(f))
-        lms.append(f.leading_monomial())
+        f = _monic(f, p)
+        G.append(f)
+        heads.append((f[0][0], f[1:]))
+        lms.append(f[0][0])
+        exps.append(packing.unpack(f[0][0]))
         push_pairs(len(G) - 1)
 
     for f in ideal.gens:
-        enter(f)
+        enter(_pack(f, packing))
 
     processed = 0
     while heap:
-        _, i, j, lcm = heapq.heappop(heap)
+        lcm, i, j = heappop(heap)
         pending.discard((i, j))
         processed += 1
         if processed > config.max_pairs:
@@ -343,11 +457,10 @@ def _buchberger(ideal):
                 f"Groebner pair budget {config.max_pairs} exceeded", kind="pairs"
             )
         # chain criterion
+        guard = packing.guard
         skip = False
-        for k in range(len(G)):
-            if k == i or k == j:
-                continue
-            if all(map(ge, lcm, lms[k])):
+        for k, lk in enumerate(lms):
+            if not (lcm - lk) & guard and k != i and k != j:
                 pik = (min(i, k), max(i, k))
                 pjk = (min(j, k), max(j, k))
                 if pik not in pending and pjk not in pending:
@@ -355,55 +468,63 @@ def _buchberger(ideal):
                     break
         if skip:
             continue
-        h = _reduce_full(_spoly(G[i], G[j]), G, keys)
-        if h.is_zero():
+        h = _reduce_full(_spoly(heads[i], heads[j], lcm, p), heads, packing)
+        if not h:
             continue
         if len(G) >= config.max_basis_size:
             raise BudgetExceededError(
                 f"Groebner basis size budget {config.max_basis_size} exceeded", kind="basis"
             )
+        degree = packing.degree_of(h)
+        if degree > packing.degree:
+            # S-polynomial terms above every given degree and the budget
+            # survived reduction: widen the fields before they multiply
+            old, packing = packing, _Packing(ring, 2 * degree)
+            h = _repack(h, old, packing)
+            G[:] = [_repack(g, old, packing) for g in G]
+            heads[:] = _heads(G)
+            lms[:] = [g[0][0] for g in G]
+            # the order of the packed lcms is the ring order in both, so
+            # the heap stays a heap
+            heap[:] = [(packing.pack(old.unpack(m)), a, b) for m, a, b in heap]
         enter(h)
 
-    split = ring.order.split if isinstance(ring.order, BlockOrder) else None
-    return _interreduce(G, keys, split)
+    return tuple(_unpack(g, packing) for g in _interreduce(G, packing, packing.aux))
 
 
-def _interreduce(G, keys=None, split=None):
-    """Minimalize then tail-reduce a monic Groebner basis into the reduced
-    basis (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 2 §7).
+def _interreduce(G, packing, aux=0):
+    """Minimalize then tail-reduce a monic packed Groebner basis into the
+    reduced basis, descending by leading monomial (Cox-Little-O'Shea,
+    Ideals, Varieties, and Algorithms, ch. 2 §7).
 
-    With ``split`` set (an elimination order whose variables from index
-    ``split`` on are auxiliary), only the minimal elements free of the
-    auxiliary variables are tail-reduced and returned.  Their terms are
-    divisible by no other element's leading monomial, so they are the
-    reduced basis of the elimination ideal."""
-    if not G:
-        return ()
-    if keys is None:
-        keys = _HeapKeys(G[0].ring.order)
+    With ``aux`` set (the mask of the auxiliary exponent fields of an
+    elimination order), only the minimal elements free of the auxiliary
+    variables are tail-reduced and returned.  Their terms are divisible by
+    no other element's leading monomial, so they are the reduced basis of
+    the elimination ideal."""
+    guard = packing.guard
     # minimal: drop any element whose leading monomial is divisible by
-    # another's, scanning ascending in the order (descending heap key)
-    order = sorted(range(len(G)), key=lambda i: keys[G[i].leading_monomial()], reverse=True)
+    # another's, scanning ascending in the order
     kept = []
-    heads = []
-    for i in order:
-        lm = G[i].leading_monomial()
-        if any(all(map(ge, lm, h)) for h in heads):
+    for g in sorted(G, key=lambda g: g[0][0]):
+        lm = g[0][0]
+        if any(not (lm - h[0][0]) & guard for h in kept):
             continue
-        kept.append(G[i])
-        heads.append(lm)
-    if split is not None:
-        kept = [g for g, lm in zip(kept, heads) if not any(lm[split:])]
+        kept.append(g)
+    if aux:
+        kept = [g for g in kept if not g[0][0] & aux]
     # one pass suffices: a minimal basis keeps its leading monomials (and
     # leading coefficient 1) under reduction, so a later replacement cannot
     # make an earlier remainder reducible again
+    heads = _heads(kept)
     for i, g in enumerate(kept):
-        r = _reduce_full(g, kept[:i] + kept[i + 1 :], keys)
-        if r.is_zero():
+        r = _reduce_full(g, heads[:i] + heads[i + 1 :], packing)
+        if not r:
             raise InternalError("minimal basis element reduced to zero")
         kept[i] = r
-    kept.sort(key=lambda g: keys[g.leading_monomial()])
-    return tuple(kept)
+        heads[i] = (r[0][0], r[1:])
+    kept.reverse()
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +532,19 @@ def _interreduce(G, keys=None, split=None):
 
 
 def normal_form(f, ideal):
-    """The unique remainder of ``f`` modulo the reduced basis of ``ideal``."""
+    """The unique remainder of ``f`` modulo the reduced basis of ``ideal``.
+    The basis is packed once per ideal, in fields wide enough for ``f``."""
     if f.ring != ideal.ring:
         raise RingMismatchError("polynomial and ideal live in different rings")
-    return _reduce_full(f, groebner_basis(ideal))
+    basis = groebner_basis(ideal)
+    if f.is_zero() or not basis:
+        return f
+    divisors = ideal._divisors
+    if divisors is None or f.total_degree() > divisors[0].degree:
+        packing = _packing_for(f.ring, (f, *basis))
+        divisors = ideal._divisors = (packing, _heads([_pack(g, packing) for g in basis]))
+    packing, heads = divisors
+    return _unpack(_reduce_full(_pack(f, packing), heads, packing), packing)
 
 
 def ideal_member(f, ideal):
@@ -497,40 +627,41 @@ def _eliminate_intersection(I, K):
     return tuple(ring.project(g) for g in groebner_basis(big_ideal))
 
 
-def _exact_quotient(h, g):
-    """The quotient h / g for h in (g), by one division driven by a heap
-    as in :func:`_reduce_full`; a nonzero remainder raises
-    :class:`InternalError`.  The quotient's terms are found in descending
-    order, so it comes with them already sorted."""
-    ring = h.ring
-    p = ring.p
-    keys = _HeapKeys(ring.order)
-    lm, lc = g.terms_sorted()[0]
+def _exact_quotient(h, g, packing):
+    """The quotient h / g of packed polynomials for h in (g), by one
+    division driven by a heap as in :func:`_reduce_full`; a nonzero
+    remainder raises :class:`InternalError`.  The quotient's terms are
+    found in descending order, so it comes with them already sorted."""
+    p, guard = packing.p, packing.guard
+    (lm, lc), tail = g[0], g[1:]
     lc_inv = pow(lc, p - 2, p)
-    work = dict(h._terms)
-    heap = [(keys[e], e) for e in work]
-    heapq.heapify(heap)
+    work = dict(h)
+    heap = [-e for e in work]
+    heapify(heap)
     quo = []
     while heap:
-        _, e = heapq.heappop(heap)
-        c = work.get(e)
+        e = -heappop(heap)
+        c = work.pop(e, 0)
         if not c:
             continue
-        if not all(map(ge, e, lm)):
+        shift = e - lm
+        if shift & guard:
             raise InternalError("exact division left a nonzero remainder")
-        shift = tuple(map(sub, e, lm))
         factor = c * lc_inv % p
         quo.append((shift, factor))
-        for g_e, gc in g._terms.items():
-            ee = tuple(map(add, shift, g_e))
-            s = (work.get(ee, 0) - factor * gc) % p
-            if s:
-                if ee not in work:
-                    heapq.heappush(heap, (keys[ee], ee))
-                work[ee] = s
+        for g_e, gc in tail:
+            ee = shift + g_e
+            old = work.get(ee)
+            if old is None:
+                heappush(heap, -ee)
+                work[ee] = -factor * gc % p
             else:
-                work.pop(ee, None)
-    return _sorted_poly(ring, quo)
+                s = (old - factor * gc) % p
+                if s:
+                    work[ee] = s
+                else:
+                    del work[ee]
+    return quo
 
 
 def colon(I, K):
@@ -562,7 +693,12 @@ def _colon_gens(I, K):
     result = None
     for g in K.gens:
         meet = intersect(I, Ideal(ring, [g]))
-        part = Ideal(ring, _interreduce([_monic(_exact_quotient(h, g)) for h in meet.gens]))
+        packing = _packing_for(ring, (g, *meet.gens))
+        divisor = _pack(g, packing)
+        quotients = [
+            _monic(_exact_quotient(_pack(h, packing), divisor, packing), ring.p) for h in meet.gens
+        ]
+        part = Ideal(ring, [_unpack(q, packing) for q in _interreduce(quotients, packing)])
         part._basis = part.gens
         result = part if result is None else intersect(result, part)
     return result.gens

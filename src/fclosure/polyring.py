@@ -56,6 +56,24 @@ class MonomialOrder:
             return (sum(exps), *map(neg, exps[::-1]))
         return tuple(exps)
 
+    def rows(self, n):
+        """:meth:`key` on ``n`` variables as a matrix: entry k of the key of
+        ``exps`` is the dot product of row k with ``exps``."""
+        if self.kind == "grevlex":
+            return [(1,) * n] + [_unit(n, i, -1) for i in reversed(range(n))]
+        return [_unit(n, i, 1) for i in range(n)]
+
+    def weights(self, n, base):
+        """Integer weights w with sum(w_i * e_i) the key of ``e`` read as a
+        base-``base`` numeral, one key entry per digit.  No key entry after
+        the first exceeds the total degree in size, so for every ``e`` of
+        total degree below ``base / 2`` the digits are balanced and these
+        sums compare as the keys do; the sum is linear in ``e``."""
+        w = (0,) * n
+        for row in self.rows(n):
+            w = tuple(a * base + r for a, r in zip(w, row))
+        return w
+
     def __eq__(self, other):
         return isinstance(other, MonomialOrder) and type(other) is type(self) and self.kind == other.kind
 
@@ -96,6 +114,14 @@ class BlockOrder(MonomialOrder):
             return (*part, sum(head), *map(neg, head[::-1]))
         return (*part, *head)
 
+    def rows(self, n):
+        # the rows of key: the aux tail by grevlex, then the base order's
+        # rows on the leading block
+        m = n - self.split
+        head, tail = (0,) * self.split, (0,) * m
+        aux = [head + row for row in MonomialOrder("grevlex").rows(m)]
+        return aux + [row + tail for row in self.base.rows(self.split)]
+
     def __eq__(self, other):
         return (
             isinstance(other, BlockOrder)
@@ -108,6 +134,11 @@ class BlockOrder(MonomialOrder):
 
     def __repr__(self):
         return f"BlockOrder(base={self.base!r}, split={self.split})"
+
+
+def _unit(n, i, c):
+    """The length-``n`` tuple with ``c`` at index ``i`` and 0 elsewhere."""
+    return tuple(c if j == i else 0 for j in range(n))
 
 
 def monomial_compare(m1, m2, order):
@@ -308,7 +339,7 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         if not self._terms:
             return -1
-        return max(sum(e) for e in self._terms)
+        return max(map(sum, self._terms))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -377,8 +408,13 @@ class Polynomial:
         ring = self.ring
         if n == 0:
             return ring.one
-        if self.total_degree() * n > ring.config.exponent_cap:
+        degree = self.total_degree() * n  # deg(f^n) = n*deg(f) over a domain
+        if degree > ring.config.exponent_cap:
             raise ExponentOverflowError(f"power {n} would exceed the exponent cap")
+        if degree > ring.config.max_poly_degree:
+            raise BudgetExceededError(
+                f"power {n} exceeded the degree budget {ring.config.max_poly_degree}", kind="degree"
+            )
         p = ring.p
         if n < 2 * p or self.is_constant() or len(self._terms) == 1:
             return self._pow_binary(n)

@@ -36,6 +36,24 @@ def random_ideal(rng, ring, max_gens=3, **kw):
     return Ideal(ring, gens)
 
 
+def s_polynomial(f, g):
+    """The S-polynomial of the monic ``f`` and ``g`` by ring arithmetic."""
+    ring = f.ring
+    lf, lg = f.leading_monomial(), g.leading_monomial()
+    lcm = tuple(map(max, lf, lg))
+    mf = ring.monomial(tuple(a - b for a, b in zip(lcm, lf)))
+    mg = ring.monomial(tuple(a - b for a, b in zip(lcm, lg)))
+    return mf * f - mg * g
+
+
+def remainder(f, divisors):
+    """The remainder of ``f`` on division by the monic ``divisors`` in the
+    order given: the normal form modulo an ideal whose basis is set to them."""
+    I = Ideal(f.ring, divisors)
+    I._basis = tuple(divisors)
+    return normal_form(f, I)
+
+
 def monomials_up_to(n, degree):
     out = []
     for exps in itertools.product(range(degree + 1), repeat=n):

@@ -5,7 +5,8 @@ from itertools import product
 
 import pytest
 
-from fclosure.errors import ExponentOverflowError, ParseError, RingMismatchError
+from fclosure.config import EngineConfig
+from fclosure.errors import BudgetExceededError, ExponentOverflowError, ParseError, RingMismatchError
 from fclosure.polyring import (
     BlockOrder,
     MonomialOrder,
@@ -15,6 +16,7 @@ from fclosure.polyring import (
     monomial_compare,
     parse_polynomial,
 )
+from fclosure.workbench import builtin_ring
 
 from helpers import random_poly
 
@@ -160,6 +162,23 @@ def test_exponent_overflow_guard():
     f = ring.parse("x^1000")
     with pytest.raises(ExponentOverflowError):
         f ** (2**25)
+
+
+@pytest.mark.parametrize("n", [70000, 100000])
+def test_power_obeys_the_degree_budget(n):
+    # deg(f^n) = n*deg(f) over a domain, so a power past the budget raises
+    # before any product is formed, whether or not its exponent splits
+    # into Frobenius factors that would reach the budget themselves
+    ring = builtin_ring("REG").ring
+    with pytest.raises(BudgetExceededError) as err:
+        ring.parse(f"(x+y)^{n}")
+    assert err.value.kind == "degree"
+    assert str(err.value) == f"power {n} exceeded the degree budget 60000"
+    # a power of degree exactly the budget is built
+    small = PolyRing(5, ["x", "y"], config=EngineConfig(max_poly_degree=6))
+    assert small.parse("(x^2 + y)^3").total_degree() == 6
+    with pytest.raises(BudgetExceededError, match="power 4 exceeded the degree budget 6"):
+        small.parse("(x^2 + y)^4")
 
 
 def test_frobenius_decompose_examples():

@@ -4,13 +4,15 @@ power equals the chain of colons by its factors, an intersection that skips
 the S-pairs inside the reduced bases of its operands (the block rule) gives
 the raw elimination and a certified big-ring basis, a colon carries its
 reduced basis, membership does not depend on the monomial order, exact
-division inverts multiplication, generators are kept in the order given, a
+division inverts multiplication, packed monomials keep the order, the
+product and divisibility, generators are kept in the order given, a
 returned basis carries its certificate and does not depend on the generator
 order, presorted terms are sorted, Frobenius preimage generators satisfy
 their certificate, and the closure chain ascends to Q(a) = p^{e*}.
 Derandomized, so every run draws the same examples."""
 
 from itertools import permutations, product
+from operator import add, ge, mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -32,6 +34,8 @@ from fclosure.ideals import (
 from fclosure.polyring import BlockOrder, PolyRing
 from fclosure.sequences import _colon_by_power
 from fclosure.workbench import builtin_ring
+
+from helpers import remainder, s_polynomial
 
 PRIMES = (2, 3, 5)
 NAMES = ("x", "y", "z")
@@ -131,10 +135,10 @@ def test_big_ring_basis_from_settled_runs_carries_its_certificate(ring, i_gens, 
             settled.append((ideal.gens, ideal._settled))
         return buchberger(ideal)
 
-    def recorded_interreduce(G, keys=None, split=None):
-        if split is not None:
-            working.append(list(G))
-        return interreduce(G, keys, split)
+    def recorded_interreduce(G, packing, aux=0):
+        if aux:
+            working.append((list(G), packing))
+        return interreduce(G, packing, aux)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ideals, "_buchberger", recorded_buchberger)
@@ -142,12 +146,12 @@ def test_big_ring_basis_from_settled_runs_carries_its_certificate(ring, i_gens, 
         intersect(I, K)
     [(gens, runs)] = settled
     assert runs == (len(I.basis()), len(K.basis()))
-    [G] = working
-    full = interreduce(G)
+    [(G, packing)] = working
+    full = [ideals._unpack(g, packing) for g in interreduce(G, packing)]
     for f, g in product(full, repeat=2):
         if f is not g:
-            assert ideals._reduce_full(_s_polynomial(f, g), full).is_zero()
-    assert all(ideals._reduce_full(g, full).is_zero() for g in gens)
+            assert remainder(s_polynomial(f, g), full).is_zero()
+    assert all(remainder(g, full).is_zero() for g in gens)
 
 
 @CASES
@@ -205,17 +209,54 @@ def test_exact_quotient_inverts_multiplication(q_terms, g_terms, r_terms):
     q, g, r = _poly(F5, q_terms), _poly(F5, g_terms), _poly(F5, r_terms)
     if g.is_zero():
         return
-    quotient = ideals._exact_quotient(q * g, g)
+    quotient = _exact_quotient(q * g, g)
     assert quotient == q
     if not q.is_zero():
         _assert_presorted(quotient)
     # h outside (g) never yields a quotient, right or wrong
     h = q * g + r
     if ideal_member(h, Ideal(F5, [g])):
-        assert ideals._exact_quotient(h, g) * g == h
+        assert _exact_quotient(h, g) * g == h
     else:
         with pytest.raises(InternalError):
-            ideals._exact_quotient(h, g)
+            _exact_quotient(h, g)
+
+
+def _exact_quotient(h, g):
+    """h / g through the packed division, as a polynomial."""
+    packing = ideals._packing_for(F5, (h, g))
+    quotient = ideals._exact_quotient(ideals._pack(h, packing), ideals._pack(g, packing), packing)
+    return ideals._unpack(quotient, packing)
+
+
+# the packed monomials of the Groebner core on four orders; exponents up to
+# 6 in each variable, packed as tightly as their degrees allow
+PACK_RINGS = (
+    RINGS[3, "grevlex"],
+    RINGS[3, "lex"],
+    RINGS[3, "grevlex"].extended(1),
+    RINGS[3, "lex"].extended(3),
+)
+
+
+@CASES
+@given(st.sampled_from(PACK_RINGS), st.data())
+def test_packed_monomials_keep_order_product_and_divisibility(ring, data):
+    n = len(ring.variables)
+    exps = st.tuples(*[st.integers(0, 6)] * n)
+    a, b = data.draw(exps), data.draw(exps)
+    packing = ideals._Packing(ring, max(sum(a), sum(b)))
+    pa, pb = packing.pack(a), packing.pack(b)
+    order = ring.order
+    assert order.key(a) == tuple(sum(map(mul, row, a)) for row in order.rows(n))
+    ka, kb = order.key(a), order.key(b)
+    assert (pa > pb) - (pa < pb) == (ka > kb) - (ka < kb)
+    assert pa + pb == packing.pack(tuple(map(add, a, b)))
+    assert (not (pb - pa) & packing.guard) == all(map(ge, b, a))
+    assert packing.unpack(pa) == a
+    assert packing.degree_of([(pa, 1)]) == sum(a)
+    split = order.split if isinstance(order, BlockOrder) else n
+    assert bool(pa & packing.aux) == any(a[split:])
 
 
 # generator lists over F_3 on three rings of three kinds of order; every
@@ -242,16 +283,6 @@ def test_generators_are_kept_in_the_order_given(ring, gen_terms):
     assert all(a is b for a, b in zip(kept, (g for g in gens if not g.is_zero())))
 
 
-def _s_polynomial(f, g):
-    """The S-polynomial of the monic ``f`` and ``g`` by ring arithmetic."""
-    ring = f.ring
-    lf, lg = f.leading_monomial(), g.leading_monomial()
-    lcm = tuple(map(max, lf, lg))
-    mf = ring.monomial(tuple(a - b for a, b in zip(lcm, lf)))
-    mg = ring.monomial(tuple(a - b for a, b in zip(lcm, lg)))
-    return mf * f - mg * g
-
-
 def _divides(m, e):
     return all(a <= b for a, b in zip(m, e))
 
@@ -272,9 +303,9 @@ def test_basis_carries_its_certificate_in_every_generator_order(ring, gen_terms)
         assert not any(_divides(h, e) for h in others for e in g._terms)
     for f, g in product(basis, repeat=2):
         if f is not g:
-            assert ideals._reduce_full(_s_polynomial(f, g), basis).is_zero()
+            assert remainder(s_polynomial(f, g), basis).is_zero()
     if not isinstance(ring.order, BlockOrder):
-        assert all(ideals._reduce_full(g, basis).is_zero() for g in gens)
+        assert all(remainder(g, basis).is_zero() for g in gens)
     for order in permutations(gens):
         assert Ideal(ring, order).basis() == basis
 
