@@ -41,7 +41,7 @@ class GenFracElem:
 
 def _certificate_ideal(seq, r, denominators):
     R = seq.R
-    base = R.preimage([f**n for f, n in zip(seq.elements[:r], denominators)])
+    base = R.preimage([seq.power(i, n) for i, n in enumerate(denominators, 1)])
     return colon(base, Ideal(R.ring, [seq.elements[r]]))
 
 
@@ -73,9 +73,9 @@ def is_zero_in_cohomology(elem):
         return ideal_member(elem.numerator, R.J)
     n_eq = max(elem.denominators)
     h = elem.numerator
-    for f, n in zip(elem.seq.elements[: elem.r], elem.denominators):
+    for i, n in enumerate(elem.denominators, 1):
         if n < n_eq:
-            h = h * f ** (n_eq - n)
+            h = h * elem.seq.power(i, n_eq - n)
     equalized = elem.seq.with_exponents((n_eq,) * elem.seq.length)
     try:
         lim, _ = limit_ideal(equalized, range(1, elem.r + 1))

@@ -24,7 +24,7 @@ and the degrees of the polynomials it is given, never set by a user; see
 :class:`_Packing` for the bound that keeps every field from overflowing.
 Polynomials are packed on entry and unpacked on return with their sorted
 terms set; :class:`~fclosure.polyring.Polynomial` keeps exponent tuples.
-An :class:`Ideal` keeps its reduced basis packed for :func:`normal_form`.
+An :class:`Ideal` keeps its reduced basis packed for its reductions.
 """
 
 from __future__ import annotations
@@ -101,14 +101,14 @@ def _decode(ring, code):
 def _reused(kind, ring, operands, compute):
     """The polynomials ``compute()`` returns.  Inside a :func:`memo_scope`
     call on a ring without auxiliary variables they are kept as a flat int
-    tuple under ``kind``, the ring and the generator lists ``operands``,
-    each encoded with its generators' codes sorted, so that a request with
-    the same generators in any order decodes them instead of computing;
-    nothing is kept when ``compute`` raises."""
+    tuple under ``kind``, the ring and the keys of the ideals ``operands``
+    (see :func:`_ideal_key`), so that a request with the same generators in
+    any order decodes them instead of computing; nothing is kept when
+    ``compute`` raises."""
     memo = _MEMO.get()
     if memo is None or isinstance(ring.order, BlockOrder):
         return compute()
-    key = (kind, ring, *(_encode(sorted(_key_code(g) for g in gens)) for gens in operands))
+    key = (kind, ring, *map(_ideal_key, operands))
     code = memo.get(key)
     if code is not None:
         return _decode(ring, code)
@@ -119,23 +119,36 @@ def _reused(kind, ring, operands, compute):
     return polys
 
 
+def _ideal_key(ideal):
+    """The generators of ``ideal`` in a memo key: the tuple of their codes
+    (see :func:`_key_code`) in sorted order, so that the key does not
+    depend on the order given; built once per ideal.  The codes are not
+    joined, so keys share each polynomial's code instead of copying it."""
+    if ideal._key is None:
+        ideal._key = tuple(sorted(map(_key_code, ideal.gens)))
+    return ideal._key
+
+
 def _key_code(f):
-    """The code of ``f`` in a memo key: a key needs only a canonical order
-    of terms, so it takes the plain order of exponent tuples, which costs no
-    order key."""
-    return _code(sorted(f._terms.items()))
+    """The code of ``f`` in a memo key as an int tuple, built once per
+    polynomial: a key needs only a canonical order of terms, so it takes the
+    plain order of exponent tuples, which costs no order key."""
+    if f._key is None:
+        f._key = tuple(_code(sorted(f._terms.items())))
+    return f._key
 
 
 class Ideal:
     """An ideal of a polynomial ring, as its nonzero generators in the
     order given plus a lazily cached reduced Groebner basis (and, once a
-    normal form is asked for, that basis packed as divisors).
+    normal form or a containment is asked for, that basis packed as
+    divisors) and memo key.
 
     Ideals of quotient rings are represented by their full preimages; see
     :class:`fclosure.frobenius.QuotientRing`.
     """
 
-    __slots__ = ("ring", "gens", "_basis", "_settled", "_divisors")
+    __slots__ = ("ring", "gens", "_basis", "_settled", "_divisors", "_key")
 
     def __init__(self, ring, gens):
         gens = tuple(g for g in gens if not g.is_zero())
@@ -149,8 +162,10 @@ class Ideal:
         # basis, whose S-pairs Buchberger need not form (set only by
         # _eliminate_intersection)
         self._settled = ()
-        # (packing, heads) of the reduced basis, set by normal_form
+        # (packing, heads) of the reduced basis, set by _remainder
         self._divisors = None
+        # the generators' memo key, set by _ideal_key
+        self._key = None
 
     def basis(self):
         return groebner_basis(self)
@@ -223,8 +238,9 @@ class _Packing:
     which is at least the degree budget.  An S-polynomial of two of them
     has degree at most 2*``degree``, and a reduction step adds at most
     ``degree`` to one of its terms before the budget check reads the new
-    term's degree field.  A Buchberger run widens its packing before an
-    element above ``degree`` enters its basis.  So no field overflows."""
+    term's degree field.  A Buchberger run checks every S-polynomial term
+    against the budget before reducing, so each element it adds to its
+    basis lies within the budget too.  So no field overflows."""
 
     __slots__ = (
         "ring", "p", "degree", "codes", "shifts", "mask", "guard", "dmask", "aux", "dlimit", "dshift"
@@ -248,11 +264,6 @@ class _Packing:
         mask = self.mask
         return tuple([x >> shift & mask for shift in self.shifts])
 
-    def degree_of(self, terms):
-        """The total degree of the packed terms ``terms``."""
-        dmask = self.dmask
-        return max(x & dmask for x, _ in terms) >> self.dshift
-
 
 def _packing_for(ring, polys):
     """The packing of a computation on the polynomials ``polys`` of
@@ -274,11 +285,6 @@ def _unpack(terms, packing):
     sorted terms set."""
     unpack = packing.unpack
     return _sorted_poly(packing.ring, [(unpack(x), c) for x, c in terms])
-
-
-def _repack(terms, old, new):
-    """The packed terms ``terms`` of the packing ``old`` in the packing ``new``."""
-    return [(new.pack(old.unpack(x)), c) for x, c in terms]
 
 
 def _sorted_poly(ring, terms):
@@ -393,9 +399,11 @@ def groebner_basis(ideal):
     position).  On the big-ring ideal of :func:`intersect` it also forms
     no S-pair inside the two runs of generators built from the reduced
     bases of I and K (the block rule; see :func:`_eliminate_intersection`).
+    Every term of an S-polynomial, like every term a reduction creates, is
+    checked against the degree budget.
     """
     if ideal._basis is None:
-        ideal._basis = _reused("gb", ideal.ring, (ideal.gens,), lambda: _buchberger(ideal))
+        ideal._basis = _reused("gb", ideal.ring, (ideal,), lambda: _buchberger(ideal))
     return ideal._basis
 
 
@@ -415,6 +423,7 @@ def _buchberger(ideal):
     if not ideal.gens:
         return ()
     packing = _packing_for(ring, ideal.gens)
+    guard, dmask, dlimit = packing.guard, packing.dmask, packing.dlimit
 
     G = []  # the working basis, packed and monic
     heads = []  # its heads, the divisors of every reduction
@@ -457,7 +466,6 @@ def _buchberger(ideal):
                 f"Groebner pair budget {config.max_pairs} exceeded", kind="pairs"
             )
         # chain criterion
-        guard = packing.guard
         skip = False
         for k, lk in enumerate(lms):
             if not (lcm - lk) & guard and k != i and k != j:
@@ -468,25 +476,18 @@ def _buchberger(ideal):
                     break
         if skip:
             continue
-        h = _reduce_full(_spoly(heads[i], heads[j], lcm, p), heads, packing)
+        s = _spoly(heads[i], heads[j], lcm, p)
+        if any(e & dmask > dlimit for e in s):
+            raise BudgetExceededError(
+                f"S-polynomial exceeded the degree budget {config.max_poly_degree}", kind="degree"
+            )
+        h = _reduce_full(s, heads, packing)
         if not h:
             continue
         if len(G) >= config.max_basis_size:
             raise BudgetExceededError(
                 f"Groebner basis size budget {config.max_basis_size} exceeded", kind="basis"
             )
-        degree = packing.degree_of(h)
-        if degree > packing.degree:
-            # S-polynomial terms above every given degree and the budget
-            # survived reduction: widen the fields before they multiply
-            old, packing = packing, _Packing(ring, 2 * degree)
-            h = _repack(h, old, packing)
-            G[:] = [_repack(g, old, packing) for g in G]
-            heads[:] = _heads(G)
-            lms[:] = [g[0][0] for g in G]
-            # the order of the packed lcms is the ring order in both, so
-            # the heap stays a heap
-            heap[:] = [(packing.pack(old.unpack(m)), a, b) for m, a, b in heap]
         enter(h)
 
     return tuple(_unpack(g, packing) for g in _interreduce(G, packing, packing.aux))
@@ -532,23 +533,28 @@ def _interreduce(G, packing, aux=0):
 
 
 def normal_form(f, ideal):
-    """The unique remainder of ``f`` modulo the reduced basis of ``ideal``.
-    The basis is packed once per ideal, in fields wide enough for ``f``."""
+    """The unique remainder of ``f`` modulo the reduced basis of ``ideal``."""
     if f.ring != ideal.ring:
         raise RingMismatchError("polynomial and ideal live in different rings")
-    basis = groebner_basis(ideal)
-    if f.is_zero() or not basis:
+    if f.is_zero() or not groebner_basis(ideal):
         return f
-    divisors = ideal._divisors
-    if divisors is None or f.total_degree() > divisors[0].degree:
-        packing = _packing_for(f.ring, (f, *basis))
-        divisors = ideal._divisors = (packing, _heads([_pack(g, packing) for g in basis]))
-    packing, heads = divisors
-    return _unpack(_reduce_full(_pack(f, packing), heads, packing), packing)
+    return _unpack(*_remainder(f, ideal))
 
 
 def ideal_member(f, ideal):
     return normal_form(f, ideal).is_zero()
+
+
+def _remainder(f, ideal):
+    """The remainder of the nonzero ``f`` modulo the nonzero reduced basis
+    of ``ideal`` as packed terms, with their packing.  The basis is packed
+    once per ideal, in fields wide enough for ``f``."""
+    divisors = ideal._divisors
+    if divisors is None or f.total_degree() > divisors[0].degree:
+        packing = _packing_for(f.ring, (f, *ideal._basis))
+        divisors = ideal._divisors = (packing, _heads([_pack(g, packing) for g in ideal._basis]))
+    packing, heads = divisors
+    return _reduce_full(_pack(f, packing), heads, packing), packing
 
 
 def ideal_equal(I, K):
@@ -558,10 +564,13 @@ def ideal_equal(I, K):
 
 
 def ideal_contains(I, K):
-    """True iff K is a subset of I (every generator of K reduces to zero)."""
+    """True iff K is a subset of I: every generator of K leaves an empty
+    packed remainder modulo the reduced basis of I."""
     if I.ring != K.ring:
         raise RingMismatchError("ideals live in different rings")
-    return all(ideal_member(g, I) for g in K.gens)
+    if not groebner_basis(I):
+        return not K.gens
+    return not any(_remainder(g, I)[0] for g in K.gens)
 
 
 def ideal_sum(*ideals):
@@ -586,20 +595,32 @@ def unit_ideal(ring):
 
 
 def intersect(I, K):
-    """I intersect K via the auxiliary-variable construction
-    (t*I + (1-t)*K, then eliminate t with a block order), with its reduced
-    basis already set; memoized on the ring and both generator lists inside
-    a :func:`memo_scope` call.  t*I + (1-t)*K is built from the reduced
-    bases of I and K, whose S-pairs Buchberger does not form again."""
+    """I intersect K, with its reduced basis already set; memoized on the
+    ring and both generator lists inside a :func:`memo_scope` call.
+
+    When one operand contains the other, the intersection is the smaller
+    one, whose reduced basis is in hand; otherwise the auxiliary-variable
+    construction eliminates (see :func:`_eliminate_intersection`)."""
     if I.ring != K.ring:
         raise RingMismatchError("ideals live in different rings")
     ring = I.ring
     if not I.gens or not K.gens:
         return Ideal(ring, [])
-    gens = _reused("meet", ring, (I.gens, K.gens), lambda: _eliminate_intersection(I, K))
+    gens = _reused("meet", ring, (I, K), lambda: _meet(I, K))
     meet = Ideal(ring, gens)
     meet._basis = meet.gens  # already the reduced basis of I intersect K
     return meet
+
+
+def _meet(I, K):
+    """The reduced basis of I intersect K: that of I when I lies in K, that
+    of K when K lies in I, and the elimination's otherwise."""
+    basis_i, basis_k = groebner_basis(I), groebner_basis(K)
+    if ideal_contains(K, I):
+        return basis_i
+    if ideal_contains(I, K):
+        return basis_k
+    return _eliminate_intersection(I, K)
 
 
 def _eliminate_intersection(I, K):
@@ -675,7 +696,7 @@ def colon(I, K):
     if not K.gens:
         warnings.warn("colon by the zero ideal: returning the unit ideal", ColonByZeroWarning)
         return unit_ideal(ring)
-    quotient = Ideal(ring, _reused("colon", ring, (I.gens, K.gens), lambda: _colon_gens(I, K)))
+    quotient = Ideal(ring, _reused("colon", ring, (I, K), lambda: _colon_gens(I, K)))
     quotient._basis = quotient.gens  # already the reduced basis of (I : K)
     return quotient
 

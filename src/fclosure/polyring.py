@@ -299,13 +299,14 @@ class Polynomial:
     operators or the ring constructors.
     """
 
-    __slots__ = ("ring", "_terms", "_sorted", "_hash")
+    __slots__ = ("ring", "_terms", "_sorted", "_hash", "_key")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self._terms = terms
         self._sorted = None
         self._hash = None
+        self._key = None  # the memo-key code, set by fclosure.ideals
 
     # -- views -------------------------------------------------------------
 

@@ -41,7 +41,9 @@ class SequenceSpec:
 
     The effective sequence is x_i ** n_i; most operations act on it, while
     product denominators and colon divisors use the raw elements, matching
-    the usual conventions for unmixed parts and limit ideals.
+    the usual conventions for unmixed parts and limit ideals.  Each power
+    x_i ** n is computed once (:meth:`power`), for this sequence and every
+    sequence derived from it.
     """
 
     def __init__(self, R, elements, exponents=None):
@@ -55,6 +57,8 @@ class SequenceSpec:
                 raise ValueError(f"sequence element is zero in the quotient ring: {f}")
         self.R = R
         self.elements = elements
+        # {n: x_i ** n} for each element, shared by the derived sequences
+        self._powers = tuple({} for _ in elements)
         self._set_exponents((1,) * len(elements) if exponents is None else exponents)
 
     def _set_exponents(self, exponents):
@@ -70,16 +74,25 @@ class SequenceSpec:
     def length(self):
         return len(self.elements)
 
+    def power(self, i, n):
+        """x_i ** n for the 1-based position ``i``."""
+        powers = self._powers[i - 1]
+        f = powers.get(n)
+        if f is None:
+            f = powers[n] = self.elements[i - 1] ** n
+        return f
+
     def effective(self):
         """The powered elements x_i ** n_i."""
         if self._effective is None:
-            self._effective = tuple(f**n for f, n in zip(self.elements, self.exponents))
+            self._effective = tuple(self.power(i, n) for i, n in enumerate(self.exponents, 1))
         return self._effective
 
     def with_exponents(self, exponents):
         """The same elements under another exponent vector.  The elements
         were checked when this sequence was built, so only the vector is
-        checked; the new sequence shares this one's element objects."""
+        checked; the new sequence shares this one's element objects and
+        powers."""
         out = copy.copy(self)
         out._set_exponents(exponents)
         return out
@@ -264,7 +277,7 @@ def limit_ideal(x, subset=None):
     cap = x.R.ring.config.limit_chain_cap
     chain = []
     for j in range(cap + 1):
-        bumped = [x.elements[i - 1] ** (x.exponents[i - 1] + j) for i in subset]
+        bumped = [x.power(i, x.exponents[i - 1] + j) for i in subset]
         base = x.R.preimage(bumped)
         term = base if j == 0 else colon(base, Ideal(x.R.ring, [prod**j]))
         if chain:
@@ -317,7 +330,7 @@ def _subset_sum(x, subsets, unmixed):
     the exponents n_i taken from ``x`` and U(Lambda) = ``unmixed(Lambda)``."""
     parts = [x.R.J]
     for subset in subsets:
-        powers = (x.elements[i - 1] ** (x.exponents[i - 1] - 1) for i in subset)
+        powers = (x.power(i, x.exponents[i - 1] - 1) for i in subset)
         mult = math.prod(powers, start=x.R.ring.one)
         parts.append(scale_ideal(mult, unmixed(subset)))
     return ideal_sum(*parts)
@@ -450,7 +463,7 @@ def verify_identity_suite(x, n_max, identities=None):
                     check("limit_forms", {"n": n}, [(lim, limit_ideal_closed_form(xn))])
                 if "limit_product" in identities:
                     prod = xn.subset_product(indices)
-                    bumped = R.preimage([x.elements[i - 1] ** (n[i - 1] + 1) for i in indices])
+                    bumped = R.preimage([x.power(i, n[i - 1] + 1) for i in indices])
                     ok = all(ideal_member(prod * g, bumped) for g in lim.basis())
                     detail = "" if ok else fail_detail(scale_ideal(prod, lim), bumped)
                     checks.append(CheckRecord("limit_product", {"n": n}, ok, detail))

@@ -75,14 +75,20 @@ def test_generator_above_the_degree_budget_keeps_its_basis():
 
 
 def test_basis_element_above_every_given_degree_keeps_its_basis():
-    # S-polynomial terms are not reductions' new terms, so they may pass the
-    # budget and enter the basis (z^5 here, at budget 3 with generators of
-    # degree 3); the run widens its packing then and gets the basis the
-    # unpacked engine computed, the same as under the default budget
+    # S-polynomial terms are checked against the degree budget before they
+    # are reduced, as the terms a reduction creates are: at budgets 3 and 4
+    # (generators of degree 3) the run raises instead of keeping z^5 in its
+    # basis, and from budget 5 on it gets the basis of the default budget
+    text = "x*y + z^2 + 1; x^2*z + 1"
+    for budget in (3, 4):
+        ring = PolyRing(2, "xyz", config=EngineConfig(max_poly_degree=budget))
+        with pytest.raises(BudgetExceededError, match=f"S-polynomial exceeded the degree budget {budget}") as err:
+            groebner_basis(ideal_from_text(text, ring))
+        assert err.value.kind == "degree"
     expected = ["z^5 + y^2 + z", "x*z^3 + x*z + y", "x^2*z + 1", "x*y + z^2 + 1"]
-    for config in (EngineConfig(max_poly_degree=3), EngineConfig()):
+    for config in (EngineConfig(max_poly_degree=5), EngineConfig()):
         ring = PolyRing(2, "xyz", config=config)
-        basis = groebner_basis(ideal_from_text("x*y + z^2 + 1; x^2*z + 1", ring))
+        basis = groebner_basis(ideal_from_text(text, ring))
         assert [str(g) for g in basis] == expected
 
 
@@ -395,9 +401,19 @@ def test_intersect_matches_sympy_elimination():
 # one key table per basis)
 ORDER_KEY_CALLS = 6
 
-# S-polynomials the same job forms, measured when intersections came to
-# skip the S-pairs inside the reduced bases of their operands (157 before)
-SPOLY_CALLS = 127
+# S-polynomials the same job forms, measured when intersections came to be
+# answered by containment when one operand lies in the other (127 before,
+# 157 before intersections came to skip the S-pairs inside the reduced
+# bases of their operands)
+SPOLY_CALLS = 99
+
+# elimination (block-order) Buchberger runs of the same job, measured when
+# intersections came to be answered by containment (20 before)
+ELIMINATION_RUNS = 11
+
+# powers the same job raises, measured when a sequence came to compute each
+# power of its elements once for every sequence derived from it (46 before)
+POW_CALLS = 10
 
 # Buchberger runs of the USD box check below, measured when colons came to
 # keep their reduced basis (49 before, 119 before its colons were iterated
@@ -430,6 +446,33 @@ def test_spoly_calls_stay_within_the_gate(monkeypatch):
     monkeypatch.setattr(ideals, "_spoly", lambda *args: calls.append(1) or _spoly(*args))
     assert sequences.verify_identity_suite(x, 1).all_passed
     assert len(calls) <= SPOLY_CALLS
+
+
+def test_elimination_runs_stay_within_the_gate(monkeypatch):
+    # a deterministic work counter: the same identity suite may run
+    # Buchberger on an elimination ring at most ELIMINATION_RUNS times
+    x = _reg_sop()
+    runs = []
+    buchberger = ideals._buchberger
+
+    def counted(ideal):
+        runs.append(isinstance(ideal.ring.order, polyring.BlockOrder))
+        return buchberger(ideal)
+
+    monkeypatch.setattr(ideals, "_buchberger", counted)
+    assert sequences.verify_identity_suite(x, 1).all_passed
+    assert sum(runs) <= ELIMINATION_RUNS
+
+
+def test_pow_calls_stay_within_the_gate(monkeypatch):
+    # a deterministic work counter: the same identity suite may raise a
+    # polynomial to a power at most POW_CALLS times
+    x = _reg_sop()
+    calls = []
+    power = polyring.Polynomial.__pow__
+    monkeypatch.setattr(polyring.Polynomial, "__pow__", lambda f, n: calls.append(1) or power(f, n))
+    assert sequences.verify_identity_suite(x, 1).all_passed
+    assert len(calls) <= POW_CALLS
 
 
 def test_usd_buchberger_runs_stay_within_the_gate(monkeypatch):

@@ -2,7 +2,8 @@
 ideals, colons multiply back into the dividend, a colon by a product or a
 power equals the chain of colons by its factors, an intersection that skips
 the S-pairs inside the reduced bases of its operands (the block rule) gives
-the raw elimination and a certified big-ring basis, a colon carries its
+the raw elimination and a certified big-ring basis, an intersection of
+nested ideals is the smaller one without an elimination, a colon carries its
 reduced basis, membership does not depend on the monomial order, exact
 division inverts multiplication, packed monomials keep the order, the
 product and divisibility, generators are kept in the order given, a
@@ -15,6 +16,7 @@ from itertools import permutations, product
 from operator import add, ge, mul
 
 import pytest
+import sympy
 from hypothesis import example, given, settings, strategies as st
 
 import fclosure.ideals as ideals
@@ -102,6 +104,18 @@ def test_colon_by_a_product_or_power_is_the_chain_of_colons(p, i_gens, k_gens, a
 BLOCK_RINGS = [PolyRing(p, NAMES, order=order) for p in (2, 3, 5, 7) for order in ("grevlex", "lex")]
 
 
+def _raw_elimination(I, K):
+    """The reduced basis of I intersect K by eliminating t from t*I + (1-t)*K
+    built from the raw generators, with every S-pair formed."""
+    ring = I.ring
+    big = ring.extended(1)
+    t = big.var(big.variables[-1])
+    raw = [t * ring.lift(g, big) for g in I.gens] + [(big.one - t) * ring.lift(g, big) for g in K.gens]
+    raw = Ideal(big, raw)
+    assert raw._settled == ()
+    return tuple(ring.project(g) for g in ideals._buchberger(raw))
+
+
 @CASES
 @given(st.sampled_from(BLOCK_RINGS), IDEAL, IDEAL)
 def test_intersection_from_settled_runs_is_the_raw_elimination(ring, i_gens, k_gens):
@@ -110,12 +124,55 @@ def test_intersection_from_settled_runs_is_the_raw_elimination(ring, i_gens, k_g
     I, K = _ideal(ring, i_gens), _ideal(ring, k_gens)
     if not (I.gens and K.gens):
         return
-    big = ring.extended(1)
-    t = big.var(big.variables[-1])
-    raw = [t * ring.lift(g, big) for g in I.gens] + [(big.one - t) * ring.lift(g, big) for g in K.gens]
-    raw = Ideal(big, raw)
-    assert raw._settled == ()
-    assert intersect(I, K).gens == tuple(ring.project(g) for g in ideals._buchberger(raw))
+    raw = _raw_elimination(I, K)
+    assert ideals._eliminate_intersection(I, K) == raw
+    assert intersect(I, K).gens == raw
+
+
+# nonzero polynomials: distinct monomials of degree <= 2, each coefficient
+# read as a nonzero residue
+NONZERO_TERMS = st.lists(
+    st.tuples(st.sampled_from(MONOMIALS), st.integers(1, 4)), min_size=1, max_size=3, unique_by=lambda t: t[0]
+)
+NONZERO_IDEAL = st.lists(NONZERO_TERMS, min_size=1, max_size=2)
+SYMBOLS = sympy.symbols(NAMES)
+
+
+def _nonzero_ideal(ring, gens):
+    p = ring.p
+    return Ideal(ring, [ring.poly({e: 1 + (c - 1) % (p - 1) for e, c in terms}) for terms in gens])
+
+
+def _sympy_basis(I):
+    """The reduced basis of I by sympy, an independent implementation, as
+    sets of terms."""
+    exprs = [sum(c * sympy.prod(s**k for s, k in zip(SYMBOLS, e)) for e, c in g._terms.items()) for g in I.gens]
+    theirs = sympy.groebner(exprs, *SYMBOLS, modulus=I.ring.p, order=I.ring.order.kind)
+    return {frozenset((e, int(c) % I.ring.p) for e, c in g.terms()) for g in theirs.polys}
+
+
+@CASES
+@given(st.sampled_from(BLOCK_RINGS), NONZERO_IDEAL, NONZERO_IDEAL)
+def test_nested_intersection_is_the_smaller_ideal_without_elimination(ring, i_gens, k_gens):
+    # for A inside B, namely (I, I + K) and (I*K, I), intersect in both
+    # argument orders gives the raw elimination, which is A, with sympy's
+    # basis of A, and eliminates nothing; (B : A) is the unit ideal
+    I, K = _nonzero_ideal(ring, i_gens), _nonzero_ideal(ring, k_gens)
+    nested = ((I, ideal_sum(I, K)), (Ideal(ring, [f * g for f in I.gens for g in K.gens]), I))
+    eliminated = []
+    eliminate = ideals._eliminate_intersection
+    for A, B in nested:
+        raw = _raw_elimination(A, B)
+        expected = _sympy_basis(A)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ideals, "_eliminate_intersection", lambda *a: eliminated.append(a) or eliminate(*a))
+            meets = [intersect(A, B), intersect(B, A)]
+            quotient = colon(B, A)
+        for meet in meets:
+            assert meet.gens == raw
+            assert {frozenset(g._terms.items()) for g in meet.gens} == expected
+        assert quotient.is_unit()
+    assert eliminated == []
 
 
 @CASES
@@ -143,7 +200,7 @@ def test_big_ring_basis_from_settled_runs_carries_its_certificate(ring, i_gens, 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ideals, "_buchberger", recorded_buchberger)
         mp.setattr(ideals, "_interreduce", recorded_interreduce)
-        intersect(I, K)
+        ideals._eliminate_intersection(I, K)
     [(gens, runs)] = settled
     assert runs == (len(I.basis()), len(K.basis()))
     [(G, packing)] = working
@@ -254,7 +311,7 @@ def test_packed_monomials_keep_order_product_and_divisibility(ring, data):
     assert pa + pb == packing.pack(tuple(map(add, a, b)))
     assert (not (pb - pa) & packing.guard) == all(map(ge, b, a))
     assert packing.unpack(pa) == a
-    assert packing.degree_of([(pa, 1)]) == sum(a)
+    assert (pa & packing.dmask) >> packing.dshift == sum(a)
     split = order.split if isinstance(order, BlockOrder) else n
     assert bool(pa & packing.aux) == any(a[split:])
 
@@ -315,7 +372,7 @@ def test_basis_carries_its_certificate_in_every_generator_order(ring, gen_terms)
 def test_presorted_terms_equal_a_fresh_sort(p, i_gens, k_gens, f_terms):
     ring = RINGS[p, "grevlex"]
     I, K = _ideal(ring, i_gens), _ideal(ring, k_gens)
-    eliminated = []
+    eliminated, projected = [], ()
     buchberger = ideals._buchberger
 
     def recorded(ideal):
@@ -325,12 +382,14 @@ def test_presorted_terms_equal_a_fresh_sort(p, i_gens, k_gens, f_terms):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ideals, "_buchberger", recorded)
+        if I.gens and K.gens:
+            projected = ideals._eliminate_intersection(I, K)
         meet = intersect(I, K)
         quotient = colon(I, K) if K.gens else None
     for g in eliminated:
         _assert_presorted(g)
     assert eliminated or not (I.gens and K.gens)
-    for g in meet.gens + (quotient.gens if quotient else ()):
+    for g in projected + meet.gens + (quotient.gens if quotient else ()):
         _assert_presorted(g)
     f = _poly(ring, f_terms)
     if I.gens and not f.is_zero():

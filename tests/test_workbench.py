@@ -251,15 +251,16 @@ def test_survey_records_unstabilized_chains():
 
 
 def test_survey_records_budget_errors():
-    # a degree budget of 8 lets the sampler through but stops the closure
-    # chain of the fourth sample; TWOPLANES is no hypersurface, so every
-    # chain runs the lookahead window (below 8 the budget stops the
-    # Frobenius powers of every sample's chain)
-    TW = builtin_ring("TWOPLANES", config=EngineConfig(max_poly_degree=8))
+    # a degree budget of 9 lets the sampler through but stops the closure
+    # chain of the fourth sample at an S-polynomial; TWOPLANES is no
+    # hypersurface, so every chain runs the lookahead window (at 8 an
+    # S-polynomial of every sample's chain exceeds the budget, and below 8
+    # so do its Frobenius powers)
+    TW = builtin_ring("TWOPLANES", config=EngineConfig(max_poly_degree=9))
     report = survey_uniform_q(TW, SurveyConfig(sample_count=4, seed=1, max_degree=2, e_max=3))
     assert [r["status"] for r in report.records] == ["ok", "ok", "ok", "error"]
     failed = report.records[3]
-    assert failed["cause"] == "reduction exceeded the degree budget 8"
+    assert failed["cause"] == "S-polynomial exceeded the degree budget 9"
     assert "closure" not in failed and "q_exponent" not in failed
     assert report.aggregate == {"max_q": 1, "histogram": {"1": 3}, "indeterminate": 1, "certified": 3}
     # on NILLINE the third sample, x + y, is certified at e = 1, as are the
