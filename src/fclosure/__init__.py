@@ -7,7 +7,6 @@ from .errors import (
     BudgetExceededError,
     CertificateError,
     ColonByZeroWarning,
-    ExponentOverflowError,
     FClosureError,
     InternalError,
     ParseError,

@@ -64,7 +64,10 @@ def _ints(text, flag):
 
 
 def _seq(args, R):
-    return SequenceSpec(R, _polys(args.seq, R), _ints(args.exps, "--exps") if args.exps else None)
+    """The sequence of ``--seq``, raised to ``--exps`` where the command
+    takes it (``usd`` and ``verify`` choose the exponents themselves)."""
+    exps = getattr(args, "exps", None)
+    return SequenceSpec(R, _polys(args.seq, R), _ints(exps, "--exps") if exps else None)
 
 
 def _subset(text, length):
@@ -228,13 +231,13 @@ POLY = _arg("--poly", required=True)
 E = _arg("-e", type=int, required=True)
 EMAX = _arg("--emax", type=int, default=5)
 LOOKAHEAD = _arg("--lookahead", type=int, default=2)
-SEQ = (_arg("--seq", required=True), _arg("--exps"))
+RAW_SEQ = _arg("--seq", required=True)
+SEQ = (RAW_SEQ, _arg("--exps"))
 SUBSET = _arg("--subset")
 NMAX = _arg("--nmax", type=int, default=2)
 VERIFY = (
     _arg("suite", choices=["gy", "huneke", "br21", "fixedq", "nil"]),
     _arg("--seq"),
-    _arg("--exps"),
     NMAX,
     _arg("--ideal"),
     _arg("--nil", help="generators of the nilpotent ideal"),
@@ -264,7 +267,7 @@ COMMANDS = {
     "qexp": Command("minimal Q with (a^F)^[Q] = a^[Q]", (IDEAL, EMAX), _qexp),
     "hsl": Command("HSL number of the top local cohomology of a hypersurface", (EMAX,), _hsl),
     "dseq": Command("d-sequence test", SEQ, _dseq),
-    "usd": Command("bounded unconditioned-strong-d-sequence test", (*SEQ, NMAX), _usd),
+    "usd": Command("bounded unconditioned-strong-d-sequence test", (RAW_SEQ, NMAX), _usd),
     "filtreg": Command("filter-regular sequence test (relative to m)", SEQ, _filtreg),
     "unmixed": Command(
         "unmixed part of a partial-power ideal",

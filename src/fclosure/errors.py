@@ -17,14 +17,11 @@ class RingMismatchError(FClosureError):
     """Operands live in different rings."""
 
 
-class ExponentOverflowError(FClosureError):
-    """An exponent exceeded the configured cap."""
-
-
 class BudgetExceededError(FClosureError):
-    """A computation budget (basis size, pair count, degree) was exhausted.
+    """A cap of :class:`~fclosure.config.EngineConfig` was exhausted.
 
-    Always reported, never converted into a wrong answer.
+    ``kind`` names the cap, as listed beside each field there.  Always
+    reported, never converted into a wrong answer.
     """
 
     def __init__(self, message, kind=None):

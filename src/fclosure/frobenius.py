@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 from .errors import (
     BudgetExceededError,
-    ExponentOverflowError,
     InternalError,
     QExponentNotFoundError,
     RingMismatchError,
@@ -119,7 +118,9 @@ def _check_e(e, ring):
     if e < 0:
         raise ValueError("Frobenius exponent must be non-negative")
     if e > cap:
-        raise ExponentOverflowError(f"Frobenius exponent {e} exceeds the configured cap {cap}")
+        raise BudgetExceededError(
+            f"Frobenius exponent {e} exceeds the configured cap {cap}", kind="exponent"
+        )
 
 
 def frobenius_power(I, e):

@@ -156,9 +156,11 @@ class SurveyConfig:
             return tuple(range(1, t + 1))
         if not self.lengths:
             raise ValueError(f"no subsystem length given; choose from 1..{t}")
-        for j in self.lengths:
+        for i, j in enumerate(self.lengths):
             if not 1 <= j <= t:
                 raise ValueError(f"subsystem length {j} is outside 1..{t}")
+            if j in self.lengths[:i]:
+                raise ValueError(f"subsystem length {j} is given twice")
         return tuple(self.lengths)
 
 

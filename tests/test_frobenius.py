@@ -6,7 +6,7 @@ import random
 import pytest
 
 from fclosure.config import EngineConfig
-from fclosure.errors import BudgetExceededError, ExponentOverflowError, QExponentNotFoundError
+from fclosure.errors import BudgetExceededError, QExponentNotFoundError
 from fclosure.frobenius import (
     FrobeniusExponent,
     QuotientRing,
@@ -56,8 +56,10 @@ def test_frobenius_power_properties():
 
 def test_frobenius_power_cap():
     ring = PolyRing(2, ["x"])
-    with pytest.raises(ExponentOverflowError):
+    with pytest.raises(BudgetExceededError) as err:
         frobenius_power(ideal_from_text("x", ring), 9)
+    assert err.value.kind == "exponent"
+    assert str(err.value) == "Frobenius exponent 9 exceeds the configured cap 8"
 
 
 def test_degree_budget_bounds_frobenius_powers():

@@ -34,6 +34,7 @@ def test_make_elem_r0_accepts_torsion(TW):
     sop = tw_sop(TW)
     elem = make_elem(TW.ring.parse("x*z"), sop, 0)
     assert elem.r == 0 and elem.denominators == ()
+    assert repr(elem) == "<0>"  # x*z is zero modulo J
     assert is_zero_in_cohomology(elem) is True
 
 
@@ -95,6 +96,7 @@ def test_t_action_formula_and_composition(TW):
     assert t_action(elem, 0) is elem
     once = t_action(elem, 1)
     assert once.denominators == (2,)
+    assert (repr(elem), repr(once)) == ("<x + z / (x + z)>", "<x^2 + z^2 / ((x + z)^2)>")
     assert once.numerator == TW.reduce(h.frobenius(1))
     assert t_action(once, 1) == t_action(elem, 2)
 

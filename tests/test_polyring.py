@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from fclosure.config import EngineConfig
-from fclosure.errors import BudgetExceededError, ExponentOverflowError, ParseError, RingMismatchError
+from fclosure.errors import BudgetExceededError, ParseError, RingMismatchError
 from fclosure.polyring import (
     BlockOrder,
     MonomialOrder,
@@ -35,8 +35,11 @@ def test_parse_error_reports_position():
     with pytest.raises(ParseError) as err:
         ring.parse("x + * y")
     assert err.value.position == 4
-    with pytest.raises(ParseError, match="exponent overflow"):
+    # an exponent literal is bounded by the degree budget, like any power
+    with pytest.raises(BudgetExceededError) as budget:
         ring.parse(f"x^{2**40}")
+    assert budget.value.kind == "degree"
+    assert str(budget.value) == f"power {2**40} exceeded the degree budget 60000"
     with pytest.raises(ParseError):
         ring.parse("")
     with pytest.raises(ParseError):
@@ -142,6 +145,11 @@ def test_ring_axioms_random():
             assert f * (g + h) == f * g + f * h
             assert (f + g) ** p == f**p + g**p
             assert f - f == ring.zero
+    # equal values built differently hash equal and collapse in a set
+    ring = PolyRing(5, ["x", "y"])
+    f, g = ring.parse("(x + y)^2"), ring.parse("y^2 + 2*x*y + x^2")
+    assert f is not g and hash(f) == hash(g)
+    assert len({f, g, ring.parse("x*y")}) == 2
 
 
 def test_pow_paths_agree():
@@ -160,8 +168,10 @@ def test_pow_paths_agree():
 def test_exponent_overflow_guard():
     ring = PolyRing(2, ["x"])
     f = ring.parse("x^1000")
-    with pytest.raises(ExponentOverflowError):
+    with pytest.raises(BudgetExceededError) as err:
         f ** (2**25)
+    assert err.value.kind == "degree"
+    assert str(err.value) == f"power {2**25} exceeded the degree budget 60000"
 
 
 @pytest.mark.parametrize("n", [70000, 100000])

@@ -179,6 +179,10 @@ def test_sampler_rejects_a_vacuous_request(settings, message):
         pytest.param((3,), "subsystem length 3 is outside 1..2", id="3"),
         pytest.param((0,), "subsystem length 0 is outside 1..2", id="0"),
         pytest.param((), "no subsystem length given; choose from 1..2", id="empty"),
+        # a repeated length would overwrite its own quota and then be drawn
+        # once per entry, so the survey would return the wrong number of samples
+        pytest.param((1, 1), "subsystem length 1 is given twice", id="twice"),
+        pytest.param((2, 1, 2), "subsystem length 2 is given twice", id="twice-apart"),
     ],
 )
 def test_survey_rejects_lengths_outside_the_dimension(lengths, message):
@@ -196,6 +200,8 @@ def test_survey_lengths_are_read_like_every_comma_list(capsys):
     assert capsys.readouterr().out == expected
     assert main([*args, "--j", ","]) == 2
     assert "no subsystem length given; choose from 1..2" in capsys.readouterr().err
+    assert main([*args, "--j", "1,1"]) == 2
+    assert "subsystem length 1 is given twice" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, index", [("unmixed", "3"), ("limideal", "0")])
@@ -211,7 +217,7 @@ def test_cli_subset_index_out_of_range(command, index, capsys):
     "args, flag, entry",
     [
         (["unmixed", "--seq", "x+z; y+w", "--subset", "a"], "--subset", "a"),
-        (["usd", "--seq", "x+z; y+w", "--exps", "1,b"], "--exps", "b"),
+        (["dseq", "--seq", "x+z; y+w", "--exps", "1,b"], "--exps", "b"),
         (["survey-q", "--samples", "2", "--j", "1,x"], "--j", "x"),
     ],
 )
@@ -220,6 +226,24 @@ def test_cli_comma_list_names_a_bad_entry(args, flag, entry, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: {flag} takes a comma list of integers, not {entry!r}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        'usd --ring TWOPLANES --seq "x+z; y+w" --exps 3,3',
+        'verify gy --ring TWOPLANES --seq "x+z; y+w" --exps 3,3',
+    ],
+)
+def test_exps_is_rejected_where_the_command_chooses_the_exponents(command, capsys):
+    # the USD box and every suite pick their own exponent vectors, so an
+    # --exps there would be ignored while the report named the powers
+    with pytest.raises(SystemExit) as exit_:
+        main(shlex.split(command))
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --exps 3,3" in captured.err
 
 
 def test_survey_regular_all_trivial():
@@ -445,10 +469,13 @@ def test_cli_operational_errors(capsys):
         ("survey-q --ring TWOPLANES --samples -3", "sample_count must be at least 1, not -3"),
         ("survey-q --ring REG --degree 0 --samples 2", "max_degree must be at least 1, not 0"),
         ("verify nil --ring NILLINE --nil x --samples 0", "sample_count must be at least 1, not 0"),
+        ("hsl --ring FERMAT3 --char 11 --emax 0", "the HSL chain did not settle within e <= 0"),
+        ("hsl --ring TWOPLANES", "is not a hypersurface with a homogeneous relation"),
     ],
 )
 def test_cli_rejects_empty_windows_and_boxes(command, message, capsys):
-    # an empty window, box or sample is an operational error (exit 2), never a verdict
+    # an empty window, box or sample, or a ring outside the command's scope,
+    # is an operational error (exit 2), never a verdict
     assert main(shlex.split(command)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -479,6 +506,14 @@ def test_cli_indeterminate_outcomes_exit_2(capsys):
     assert capsys.readouterr().out == "Q = 2 = 2^1\n"
     assert main([*args, "--seed", "1"]) == 2
     assert capsys.readouterr().out.splitlines()[0] == "samples: 4  certified: 3  indeterminate: 1"
+    # TWOPLANES is no hypersurface, so this window runs to e = 10, and its
+    # stage at e = 9 passes frobenius_e_cap = 8: the report records that
+    args = ["survey-q", "--ring", "TWOPLANES", "--samples", "1", "--j", "1"]
+    assert main([*args, "--emax", "10", "--lookahead", "10", "--json"]) == 2
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert [(r["status"], r["cause"]) for r in records] == [
+        ("error", "Frobenius exponent 9 exceeds the configured cap 8")
+    ]
 
 
 def test_cli_nil_lists_target_generators_in_the_order_given(capsys):
@@ -521,9 +556,11 @@ def test_cli_ops(capsys):
     assert "x^2; y^2" in out
 
 
-# Every README example, the failing member/dseq/filtreg cases and a parse
-# error: (id, command line, exit code, SHA-256 of stdout in text mode, and
-# with --json).  The 12-sample survey stands in for the README's 50 samples.
+# Every README example, the failing member/dseq/filtreg cases, the HSL
+# number of a regular ring and a parse error: (id, command line, exit code,
+# SHA-256 of stdout in text mode, and with --json).  The 12-sample survey
+# stands in for the README's 50 samples, and FERMAT3 at its default
+# characteristic 5 for the README's 11.
 _PINNED_RUNS = [
     ("gb", 'gb --ring TWOPLANES --ideal "x+z; y+w"', 0,
      "9eeccc222bdc70176bac1986cbc3ba79f676d21da35d57f272dfb464e964db98",
@@ -558,6 +595,12 @@ _PINNED_RUNS = [
     ("qexp", 'qexp --ring NILLINE --ideal y', 0,
      "1f6cef31948327ff9c9f296d02f6a82e1293368ab17c0a8b42704751741e7530",
      "1a796de5aa40c703bdff0f2911f66c0559731d12f24d8c48b088892d117ca11e"),
+    ("hsl", 'hsl --ring FERMAT3', 0,
+     "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+     "30df48623b1e170326a0a37fceee8febf3864a7f83c8d3dc9c794e059b89fb6e"),
+    ("hsl-regular", 'hsl --ring REG', 0,
+     "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+     "5ed2bb359171db410a0373fc8745a69e788aca40e099a975c018ffcfc52c2477"),
     ("dseq", 'dseq --ring REG --seq "x; y; z"', 0,
      "4eeb239ba59289f5f4d9b8f76414a5820388abd7b4c5e8c1969d258884bdf64b",
      "338bb84cc543e6d81a8ccd9f7fa7376e0521e98da495e1b5b0d5f0016628ed45"),
