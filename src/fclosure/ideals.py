@@ -10,8 +10,10 @@ depend on that order.  Budgets come from the ring's
 Inside one call of an entry point marked :func:`memo_scope`, reduced bases,
 intersections and colons of rings without auxiliary variables are memoized
 on the ring and the generators, in any order (all through :func:`_reused`),
-so each distinct one is computed once; the memo is dropped when that call
-returns or raises.
+so each distinct one is computed once.  The memo keeps the finished results
+themselves, a basis as its tuple of polynomials and an intersection or a
+colon as its :class:`Ideal`, so a repeated request shares that ideal's key
+and packed basis; the memo is dropped when that call returns or raises.
 
 The Groebner core (:func:`_buchberger`, :func:`_reduce_full`,
 :func:`_spoly`, :func:`_interreduce`, :func:`_exact_quotient` and
@@ -34,7 +36,7 @@ import functools
 import warnings
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from operator import mul
+from operator import mul, or_
 
 from .errors import BudgetExceededError, ColonByZeroWarning, InternalError, RingMismatchError
 from .polyring import BlockOrder, Polynomial
@@ -71,52 +73,22 @@ def _code(terms):
     return out
 
 
-def _encode(codes):
-    """The int lists ``codes`` (see :func:`_code`) joined into one flat
-    tuple.  They are joined in a list first: a tuple built from an iterator
-    of unknown length can keep a block up to a third larger than it needs,
-    and the memo keeps these tuples."""
-    out = []
-    for code in codes:
-        out += code
-    return tuple(out)
-
-
-def _decode(ring, code):
-    """The polynomials of ``ring`` that :func:`_encode` flattened to ``code``."""
-    n = len(ring.variables)
-    polys = []
-    i = 0
-    while i < len(code):
-        count = code[i]
-        i += 1
-        terms = []
-        for _ in range(count):
-            terms.append((code[i : i + n], code[i + n]))
-            i += n + 1
-        polys.append(_sorted_poly(ring, terms))
-    return tuple(polys)
-
-
 def _reused(kind, ring, operands, compute):
-    """The polynomials ``compute()`` returns.  Inside a :func:`memo_scope`
-    call on a ring without auxiliary variables they are kept as a flat int
-    tuple under ``kind``, the ring and the keys of the ideals ``operands``
-    (see :func:`_ideal_key`), so that a request with the same generators in
-    any order decodes them instead of computing; nothing is kept when
-    ``compute`` raises."""
+    """What ``compute()`` returns: a reduced basis, or a finished
+    :class:`Ideal` with its reduced basis set.  Inside a :func:`memo_scope`
+    call on a ring without auxiliary variables it is kept as it is under
+    ``kind``, the ring and the keys of the ideals ``operands`` (see
+    :func:`_ideal_key`), so that a request with the same generators in any
+    order gets the same object back, and with it whatever that object has
+    cached since; nothing is kept when ``compute`` raises."""
     memo = _MEMO.get()
     if memo is None or isinstance(ring.order, BlockOrder):
         return compute()
     key = (kind, ring, *map(_ideal_key, operands))
-    code = memo.get(key)
-    if code is not None:
-        return _decode(ring, code)
-    polys = compute()
-    # a result keeps the ring order, in which the core returns it sorted,
-    # so that its decoded terms come sorted too
-    memo[key] = _encode(_code(g.terms_sorted()) for g in polys)
-    return polys
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = compute()
+    return found
 
 
 def _ideal_key(ideal):
@@ -606,10 +578,15 @@ def intersect(I, K):
     ring = I.ring
     if not I.gens or not K.gens:
         return Ideal(ring, [])
-    gens = _reused("meet", ring, (I, K), lambda: _meet(I, K))
-    meet = Ideal(ring, gens)
-    meet._basis = meet.gens  # already the reduced basis of I intersect K
-    return meet
+    return _reused("meet", ring, (I, K), lambda: _finished(ring, _meet(I, K)))
+
+
+def _finished(ring, basis):
+    """The ideal of ``ring`` with the reduced basis ``basis``, which it
+    keeps as its generators and its basis."""
+    ideal = Ideal(ring, basis)
+    ideal._basis = ideal.gens
+    return ideal
 
 
 def _meet(I, K):
@@ -696,21 +673,30 @@ def colon(I, K):
     if not K.gens:
         warnings.warn("colon by the zero ideal: returning the unit ideal", ColonByZeroWarning)
         return unit_ideal(ring)
-    quotient = Ideal(ring, _reused("colon", ring, (I, K), lambda: _colon_gens(I, K)))
-    quotient._basis = quotient.gens  # already the reduced basis of (I : K)
-    return quotient
+    return _reused("colon", ring, (I, K), lambda: _finished(ring, _colon_gens(I, K)))
 
 
 def _colon_gens(I, K):
     """The reduced basis of (I : K), the intersection over g in K of
     (I : g), each (I : g) being (I intersect (g)) divided by g.
 
-    The quotients h/g of the reduced basis of I intersect (g) are a minimal
-    Groebner basis of (I : g): for f in (I : g) some lm(h) divides
-    lm(f*g) = lm(f)*lm(g), and lm(h) = lm(h/g)*lm(g).  Made monic and
-    interreduced, they are its reduced basis; for more than one g the last
-    intersection returns the reduced basis."""
+    When the leading monomial of some g in K shares no variable with the
+    leading monomials of the reduced basis of I, it is a nonzerodivisor
+    modulo in(I), so g is one modulo I (Cox-Little-O'Shea, Ideals,
+    Varieties, and Algorithms, ch. 2 and ch. 4 §4; Kreuzer-Robbiano,
+    Computational Commutative Algebra 1, §2.2).  Then (I : g) = I, and I
+    lies in every (I : g), so (I : K) = I, whose reduced basis is in hand.
+
+    Otherwise the quotients h/g of the reduced basis of I intersect (g) are
+    a minimal Groebner basis of (I : g): for f in (I : g) some lm(h)
+    divides lm(f*g) = lm(f)*lm(g), and lm(h) = lm(h/g)*lm(g).  Made monic
+    and interreduced, they are its reduced basis; for more than one g the
+    last intersection returns the reduced basis."""
     ring = I.ring
+    basis = groebner_basis(I)
+    leads = functools.reduce(or_, map(_lead_variables, basis), 0)
+    if any(not _lead_variables(g) & leads for g in K.gens):
+        return basis
     result = None
     for g in K.gens:
         meet = intersect(I, Ideal(ring, [g]))
@@ -719,10 +705,17 @@ def _colon_gens(I, K):
         quotients = [
             _monic(_exact_quotient(_pack(h, packing), divisor, packing), ring.p) for h in meet.gens
         ]
-        part = Ideal(ring, [_unpack(q, packing) for q in _interreduce(quotients, packing)])
-        part._basis = part.gens
+        part = _finished(ring, [_unpack(q, packing) for q in _interreduce(quotients, packing)])
         result = part if result is None else intersect(result, part)
     return result.gens
+
+
+def _lead_variables(f):
+    """The variables of the leading monomial of the nonzero ``f`` as a bit
+    mask, read from the largest of its packed monomials: no order key."""
+    packing = _packing_for(f.ring, (f,))
+    lead = packing.unpack(max(map(packing.pack, f._terms)))
+    return sum(1 << i for i, e in enumerate(lead) if e)
 
 
 def saturate(I, K):

@@ -21,6 +21,7 @@ from .errors import (
     FClosureError,
     ParseError,
     QExponentNotFoundError,
+    RingMismatchError,
     UnstabilizedError,
 )
 from .frobenius import (
@@ -97,6 +98,8 @@ def load_ring(path, config=None):
                 continue
             head, _, rest = line.partition(" ")
             rest = rest.strip()
+            if (head == "char" and p is not None) or (head == "vars" and variables is not None):
+                raise ParseError(f"{path}:{lineno}: repeated {head!r} line")
             if head == "char":
                 try:
                     p = int(rest)
@@ -446,31 +449,33 @@ def run_suite(name, R, x=None, cfg=None, a=None, nil_gens=None):
     decomposition identities; ``fixedq`` and ``nil`` are the empirical
     Frobenius checks.  ``fixedq`` raises ``ValueError`` unless
     ``sample_count >= 1``: it would sample one numerator per prefix
-    whatever the count."""
+    whatever the count.  The suites on a sequence raise
+    ``RingMismatchError`` unless ``x`` lies in R: the same ambient ring
+    and the same defining ideal J."""
     cfg = cfg or SurveyConfig()
-    if name in ("gy", "huneke", "br21"):
-        if x is None:
-            raise ValueError(f"suite {name!r} needs a sequence")
-        identities = {
-            "gy": None,
-            "huneke": ("intersection_prefix", "intersection_unmixed"),
-            "br21": ("limit_product", "limit_decomposition"),
-        }[name]
-        report = verify_identity_suite(x, cfg.n_max, identities=identities)
-        out = report.to_dict()
-        out["suite"] = name
-        out["passed"] = report.all_passed
-        return out
+    if name == "nil":
+        if not nil_gens:
+            raise ValueError("suite 'nil' needs the nilpotent ideal generators")
+        return _nil_suite(R, a, nil_gens, cfg)
+    if name not in ("gy", "huneke", "br21", "fixedq"):
+        raise ValueError(f"unknown suite {name!r}")
+    if x is None:
+        raise ValueError(f"suite {name!r} needs a sequence")
+    if x.R is not R and (x.R.ring != R.ring or x.R.J != R.J):
+        raise RingMismatchError(f"suite {name!r}: the sequence lies in another quotient ring")
     if name == "fixedq":
-        if x is None:
-            raise ValueError("suite 'fixedq' needs a sequence")
         _check_sample_count(cfg)
         verdict = is_usd_bounded(x, cfg.n_max)
         out = _fixedq_suite(R, x, cfg)
         out["hypothesis_verified"] = verdict.passed
         return out
-    if name == "nil":
-        if not nil_gens:
-            raise ValueError("suite 'nil' needs the nilpotent ideal generators")
-        return _nil_suite(R, a, nil_gens, cfg)
-    raise ValueError(f"unknown suite {name!r}")
+    identities = {
+        "gy": None,
+        "huneke": ("intersection_prefix", "intersection_unmixed"),
+        "br21": ("limit_product", "limit_decomposition"),
+    }[name]
+    report = verify_identity_suite(x, cfg.n_max, identities=identities)
+    out = report.to_dict()
+    out["suite"] = name
+    out["passed"] = report.all_passed
+    return out

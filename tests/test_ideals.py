@@ -305,6 +305,44 @@ def test_colon_by_zero_warns(R5):
     assert all(o.is_unit() for o in out)
 
 
+def _lead_support(f):
+    return {i for i, e in enumerate(f.leading_monomial()) if e}
+
+
+def test_colon_by_a_leading_monomial_coprime_to_the_initial_ideal(monkeypatch):
+    # if lm(g) shares no variable with in(I), g is a nonzerodivisor modulo
+    # I: (I : g) = I, and (I : K) = I for every K holding such a g, with no
+    # elimination run.  Every colon, by such a g or not, must match the
+    # elimination: g*(I : g) = I intersect (g).
+    eliminate = ideals._eliminate_intersection
+    runs = []
+    monkeypatch.setattr(
+        ideals, "_eliminate_intersection", lambda I, K: runs.append(1) or eliminate(I, K)
+    )
+    rng = random.Random(41)
+    for p in (2, 3, 5, 7):
+        ring = PolyRing(p, "xyzw")
+        coprime = other = 0
+        while coprime < 6 or other < 6:
+            I = random_ideal(rng, ring, max_gens=2, max_degree=3, max_terms=3)
+            g = random_nonzero_poly(rng, ring, max_degree=3, max_terms=3)
+            if I.is_unit() or g.is_constant():
+                continue
+            G = Ideal(ring, [g])
+            del runs[:]
+            quotient = colon(I, G)
+            assert ideal_equal(scale_ideal(g, quotient), Ideal(ring, eliminate(I, G)))
+            used = set().union(*map(_lead_support, groebner_basis(I)))
+            if _lead_support(g) & used:
+                other += 1
+                continue
+            coprime += 1
+            assert ideal_equal(quotient, I)
+            f = random_nonzero_poly(rng, ring, max_degree=2, max_terms=3)
+            assert ideal_equal(colon(I, Ideal(ring, [f, g])), I)
+            assert runs == []
+
+
 def test_intersect_examples(R5, R4):
     assert str(intersect(Ideal(R5, [R5.var("x")]), Ideal(R5, [R5.var("y")]))) == "x*y"
     J = twoplanes_ideal(R4)
@@ -401,24 +439,28 @@ def test_intersect_matches_sympy_elimination():
 # one key table per basis)
 ORDER_KEY_CALLS = 6
 
-# S-polynomials the same job forms, measured when intersections came to be
-# answered by containment when one operand lies in the other (127 before,
-# 157 before intersections came to skip the S-pairs inside the reduced
-# bases of their operands)
-SPOLY_CALLS = 99
+# S-polynomials the same job forms, measured when a colon by a divisor
+# whose leading monomial is coprime to in(I) came to return I without an
+# intersection (99 before, 127 before intersections came to be answered by
+# containment when one operand lies in the other, 157 before intersections
+# came to skip the S-pairs inside the reduced bases of their operands)
+SPOLY_CALLS = 75
 
 # elimination (block-order) Buchberger runs of the same job, measured when
-# intersections came to be answered by containment (20 before)
-ELIMINATION_RUNS = 11
+# a colon by a divisor whose leading monomial is coprime to in(I) came to
+# return I without an intersection (11 before, 20 before intersections
+# came to be answered by containment)
+ELIMINATION_RUNS = 5
 
 # powers the same job raises, measured when a sequence came to compute each
 # power of its elements once for every sequence derived from it (46 before)
 POW_CALLS = 10
 
-# Buchberger runs of the USD box check below, measured when colons came to
-# keep their reduced basis (49 before, 119 before its colons were iterated
-# by the raw elements)
-USD_BUCHBERGER_RUNS = 48
+# Buchberger runs of the USD box check below, measured when a colon by a
+# divisor whose leading monomial is coprime to in(I) came to return I
+# without an intersection (48 before, 49 before colons came to keep their
+# reduced basis, 119 before its colons were iterated by the raw elements)
+USD_BUCHBERGER_RUNS = 37
 
 
 def _reg_sop():
@@ -598,6 +640,13 @@ def _rebuilt(I, rng):
     return Ideal(I.ring, gens)
 
 
+def _colons(I, K, rng):
+    """The reduced bases of (I : K), (K : I) and (I : k) for each k in K,
+    each operand built anew in a shuffled order."""
+    pairs = [(I, K), (K, I)] + [(I, Ideal(I.ring, [k])) for k in K.gens]
+    return [colon(_rebuilt(A, rng), _rebuilt(B, rng)).gens for A, B in pairs]
+
+
 def test_memo_gives_the_unmemoized_results(monkeypatch):
     computed = []
     for name in ("_buchberger", "_eliminate_intersection", "_colon_gens"):
@@ -612,8 +661,8 @@ def test_memo_gives_the_unmemoized_results(monkeypatch):
             before = len(computed)
             basis = groebner_basis(_rebuilt(I, rng))
             meet = intersect(_rebuilt(I, rng), _rebuilt(K, rng))
-            quotient = colon(_rebuilt(I, rng), _rebuilt(K, rng))
-            rounds.append((basis, meet.gens, quotient.gens, len(computed) - before))
+            quotients = _colons(I, K, rng)
+            rounds.append((basis, meet.gens, quotients, len(computed) - before))
         return rounds
 
     for p in (2, 3, 5, 7):
@@ -622,11 +671,40 @@ def test_memo_gives_the_unmemoized_results(monkeypatch):
             I = random_ideal(rng, ring, max_gens=3, max_degree=3)
             K = random_ideal(rng, ring, max_gens=2, max_degree=2)
             basis, meet = groebner_basis(_rebuilt(I, rng)), intersect(I, K).gens
-            quotient = colon(I, K).gens
+            quotients = _colons(I, K, rng)
             (b1, m1, c1, n1), (b2, m2, c2, n2) = twice(I, K)
-            assert b1 == b2 == basis and m1 == m2 == meet and c1 == c2 == quotient
+            assert b1 == b2 == basis and m1 == m2 == meet and c1 == c2 == quotients
             assert [str(g) for g in b2] == [str(g) for g in basis]
             assert n1 > 0 and n2 == 0  # the second round computed nothing
+
+
+def test_memo_returns_the_stored_finished_ideal():
+    # a repeat with its generators in another order, built from new
+    # polynomials, gets the very basis and ideal the first request stored,
+    # and with them their memo keys and packed bases
+    ring = PolyRing(5, "xyz")
+    I, K = "x^2 + y*z; y^2 - x*z; x*y*z", "x*y + z; z^2 - x"
+
+    def reversed_text(text):
+        return "; ".join(reversed(text.split("; ")))
+
+    @memo_scope
+    def twice():
+        out = []
+        for text_i, text_k in ((I, K), (reversed_text(I), reversed_text(K))):
+            A, B = ideal_from_text(text_i, ring), ideal_from_text(text_k, ring)
+            meet, quotient = intersect(A, B), colon(A, B)
+            for ideal in (meet, quotient):
+                ideal_member(ring.parse("x*y*z"), ideal)  # packs its basis
+            out.append((groebner_basis(A), meet, quotient))
+        return out
+
+    (b1, m1, c1), (b2, m2, c2) = twice()
+    assert b2 is b1 and m2 is m1 and c2 is c1
+    for ideal in (m1, c1):
+        assert ideal._basis is ideal.gens and ideal._divisors is not None
+    assert m1 == intersect(ideal_from_text(I, ring), ideal_from_text(K, ring))
+    assert c1 == colon(ideal_from_text(I, ring), ideal_from_text(K, ring))
 
 
 def test_memo_lives_only_inside_the_outermost_call(monkeypatch):

@@ -15,7 +15,7 @@ import pytest
 import fclosure.polyring as polyring
 from fclosure.cli import _run, main
 from fclosure.config import EngineConfig
-from fclosure.errors import InternalError, ParseError
+from fclosure.errors import InternalError, ParseError, RingMismatchError
 from fclosure.ideals import ideal_equal
 from fclosure.polyring import PolyRing
 from fclosure.sequences import SequenceSpec, is_subsystem_of_parameters, is_system_of_parameters
@@ -85,6 +85,16 @@ def test_load_ring_line_errors(tmp_path):
         load_ring(path)
     path = _write(tmp_path, "bad3.ring", "char 5\nvars x\nfoo bar\n")
     with pytest.raises(ParseError, match="unknown directive"):
+        load_ring(path)
+
+
+def test_load_ring_rejects_a_repeated_char_or_vars_line(tmp_path):
+    # a later line must not silently override an earlier one
+    path = _write(tmp_path, "twice.ring", "char 5\nvars x y z\nrel x*y\nchar 7\n")
+    with pytest.raises(ParseError, match=r":4: repeated 'char' line"):
+        load_ring(path)
+    path = _write(tmp_path, "twice2.ring", "char 5\nvars x y\n# fine\nvars x y z\nrel x*y\n")
+    with pytest.raises(ParseError, match=r":4: repeated 'vars' line"):
         load_ring(path)
 
 
@@ -341,6 +351,27 @@ def test_run_suite_dispatch():
         run_suite("nope", TW)
     with pytest.raises(ValueError):
         run_suite("gy", TW)
+
+
+def test_run_suite_rejects_a_sequence_of_another_ring():
+    # REG and FERMAT3 share the ambient ring F_5[x,y,z] and differ in J;
+    # TWOPLANES has another ambient ring.  A suite must not run a sequence
+    # of one ring against another.
+    REG, FERMAT3 = builtin_ring("REG", p=5), builtin_ring("FERMAT3", p=5)
+    assert REG.ring == FERMAT3.ring
+    fermat_sop = SequenceSpec(FERMAT3, [FERMAT3.ring.parse(t) for t in ("x", "y")])
+    TW = builtin_ring("TWOPLANES")
+    tw_sop = SequenceSpec(TW, [TW.ring.parse("x + z"), TW.ring.parse("y + w")])
+    cfg = SurveyConfig(sample_count=5, seed=4, n_max=1, e_max=2)
+    for name in ("gy", "huneke", "br21", "fixedq"):
+        with pytest.raises(RingMismatchError, match="another quotient ring"):
+            run_suite(name, REG, x=fermat_sop, cfg=cfg)
+        with pytest.raises(RingMismatchError, match="another quotient ring"):
+            run_suite(name, REG, x=tw_sop, cfg=cfg)
+    # an equal ring built again is the same ring
+    again = builtin_ring("FERMAT3", p=5)
+    assert again is not FERMAT3
+    assert run_suite("huneke", again, x=fermat_sop, cfg=cfg)["passed"]
 
 
 # ---------------------------------------------------------------------------
