@@ -103,14 +103,10 @@ class QuotientRing:
         """True when J = 0 or J = (f) with f homogeneous in the standard
         grading: the rings on which :func:`hsl_number` is computed."""
         basis = self.J.basis()
-        return not basis or (len(basis) == 1 and _homogeneous(basis[0]))
+        return not basis or (len(basis) == 1 and basis[0].is_homogeneous())
 
     def __repr__(self):
         return f"QuotientRing(F_{self.p}[{', '.join(self.ring.variables)}] / ({self.J}))"
-
-
-def _homogeneous(f):
-    return len({sum(exps) for exps in f._terms}) <= 1
 
 
 def _check_e(e, ring):
@@ -428,7 +424,7 @@ def _parameter_hsl_number(a, R, e_max):
     if not R.is_homogeneous_hypersurface():
         return None
     outside = [g for g in a.gens if not R.reduce(g).is_zero()]
-    if len(outside) != R.dimension or not all(map(_homogeneous, outside)):
+    if len(outside) != R.dimension or not all(g.is_homogeneous() for g in outside):
         return None
     if krull_dimension(ideal_sum(a, R.J)) != 0:
         return None

@@ -11,9 +11,15 @@ Inside one call of an entry point marked :func:`memo_scope`, reduced bases,
 intersections and colons of rings without auxiliary variables are memoized
 on the ring and the generators, in any order (all through :func:`_reused`),
 so each distinct one is computed once.  The memo keeps the finished results
-themselves, a basis as its tuple of polynomials and an intersection or a
-colon as its :class:`Ideal`, so a repeated request shares that ideal's key
-and packed basis; the memo is dropped when that call returns or raises.
+themselves, a basis as its tuple of polynomials (with the packed divisors
+that every ideal with that basis shares) and an intersection or a colon as
+its :class:`Ideal`, so a repeated request shares that ideal's key and
+packed basis; the memo is dropped when that call returns or raises.
+
+A colon runs an elimination only when no rule answers it without one: a
+divisor whose leading monomial is coprime to in(I), and a linear form
+dividing a homogeneous ideal of a grevlex ring (Bayer-Stillman; see
+:func:`_colon_gens`).
 
 The Groebner core (:func:`_buchberger`, :func:`_reduce_full`,
 :func:`_spoly`, :func:`_interreduce`, :func:`_exact_quotient` and
@@ -36,10 +42,10 @@ import functools
 import warnings
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from operator import mul, or_
+from operator import add, mul, or_
 
 from .errors import BudgetExceededError, ColonByZeroWarning, InternalError, RingMismatchError
-from .polyring import BlockOrder, Polynomial
+from .polyring import BlockOrder, Polynomial, _unit
 
 # the memo of the running entry-point call, or None outside every call
 _MEMO = contextvars.ContextVar("fclosure_memo", default=None)
@@ -74,13 +80,14 @@ def _code(terms):
 
 
 def _reused(kind, ring, operands, compute):
-    """What ``compute()`` returns: a reduced basis, or a finished
-    :class:`Ideal` with its reduced basis set.  Inside a :func:`memo_scope`
-    call on a ring without auxiliary variables it is kept as it is under
-    ``kind``, the ring and the keys of the ideals ``operands`` (see
-    :func:`_ideal_key`), so that a request with the same generators in any
-    order gets the same object back, and with it whatever that object has
-    cached since; nothing is kept when ``compute`` raises."""
+    """What ``compute()`` returns: a reduced basis with the one-item list
+    that holds its packed divisors, or a finished :class:`Ideal` with its
+    reduced basis set.  Inside a :func:`memo_scope` call on a ring without
+    auxiliary variables it is kept as it is under ``kind``, the ring and
+    the keys of the ideals ``operands`` (see :func:`_ideal_key`), so that a
+    request with the same generators in any order gets the same object
+    back, and with it whatever that object has cached since; nothing is
+    kept when ``compute`` raises."""
     memo = _MEMO.get()
     if memo is None or isinstance(ring.order, BlockOrder):
         return compute()
@@ -114,7 +121,8 @@ class Ideal:
     """An ideal of a polynomial ring, as its nonzero generators in the
     order given plus a lazily cached reduced Groebner basis (and, once a
     normal form or a containment is asked for, that basis packed as
-    divisors) and memo key.
+    divisors, shared with every ideal that shares the basis through the
+    memo) and memo key.
 
     Ideals of quotient rings are represented by their full preimages; see
     :class:`fclosure.frobenius.QuotientRing`.
@@ -134,7 +142,9 @@ class Ideal:
         # basis, whose S-pairs Buchberger need not form (set only by
         # _eliminate_intersection)
         self._settled = ()
-        # (packing, heads) of the reduced basis, set by _remainder
+        # None, or a one-item list holding None or the (packing, heads) of
+        # the reduced basis that _remainder packs; groebner_basis hands one
+        # list to every ideal whose basis comes from one memo entry
         self._divisors = None
         # the generators' memo key, set by _ideal_key
         self._key = None
@@ -375,7 +385,9 @@ def groebner_basis(ideal):
     checked against the degree budget.
     """
     if ideal._basis is None:
-        ideal._basis = _reused("gb", ideal.ring, (ideal,), lambda: _buchberger(ideal))
+        ideal._basis, ideal._divisors = _reused(
+            "gb", ideal.ring, (ideal,), lambda: (_buchberger(ideal), [None])
+        )
     return ideal._basis
 
 
@@ -520,11 +532,15 @@ def ideal_member(f, ideal):
 def _remainder(f, ideal):
     """The remainder of the nonzero ``f`` modulo the nonzero reduced basis
     of ``ideal`` as packed terms, with their packing.  The basis is packed
-    once per ideal, in fields wide enough for ``f``."""
-    divisors = ideal._divisors
+    once per memo entry (once per ideal outside the memo), in fields wide
+    enough for ``f``; a polynomial of higher degree packs it again."""
+    cell = ideal._divisors
+    if cell is None:
+        cell = ideal._divisors = [None]
+    divisors = cell[0]
     if divisors is None or f.total_degree() > divisors[0].degree:
         packing = _packing_for(f.ring, (f, *ideal._basis))
-        divisors = ideal._divisors = (packing, _heads([_pack(g, packing) for g in ideal._basis]))
+        divisors = cell[0] = (packing, _heads([_pack(g, packing) for g in ideal._basis]))
     packing, heads = divisors
     return _reduce_full(_pack(f, packing), heads, packing), packing
 
@@ -666,7 +682,8 @@ def colon(I, K):
     """(I : K) = {r : rK in I}, with its reduced basis already set, as
     :func:`intersect` sets it; memoized on the ring and both generator
     lists inside a :func:`memo_scope` call.  Colon by the zero ideal returns
-    the unit ideal with a warning, by convention, on every call."""
+    the unit ideal with a warning, by convention, on every call.  See
+    :func:`_colon_gens` for the colons that run no elimination."""
     if I.ring != K.ring:
         raise RingMismatchError("ideals live in different rings")
     ring = I.ring
@@ -678,7 +695,7 @@ def colon(I, K):
 
 def _colon_gens(I, K):
     """The reduced basis of (I : K), the intersection over g in K of
-    (I : g), each (I : g) being (I intersect (g)) divided by g.
+    (I : g); for more than one g the last intersection returns it.
 
     When the leading monomial of some g in K shares no variable with the
     leading monomials of the reduced basis of I, it is a nonzerodivisor
@@ -687,11 +704,10 @@ def _colon_gens(I, K):
     Computational Commutative Algebra 1, §2.2).  Then (I : g) = I, and I
     lies in every (I : g), so (I : K) = I, whose reduced basis is in hand.
 
-    Otherwise the quotients h/g of the reduced basis of I intersect (g) are
-    a minimal Groebner basis of (I : g): for f in (I : g) some lm(h)
-    divides lm(f*g) = lm(f)*lm(g), and lm(h) = lm(h/g)*lm(g).  Made monic
-    and interreduced, they are its reduced basis; for more than one g the
-    last intersection returns the reduced basis."""
+    A linear form g divides a homogeneous ideal of a grevlex ring without
+    elimination (see :func:`_linear_colon`), and (I : g) = I gives
+    (I : K) = I again.  Every other (I : g) comes from I intersect (g)
+    (see :func:`_eliminated_colon`)."""
     ring = I.ring
     basis = groebner_basis(I)
     leads = functools.reduce(or_, map(_lead_variables, basis), 0)
@@ -699,15 +715,94 @@ def _colon_gens(I, K):
         return basis
     result = None
     for g in K.gens:
-        meet = intersect(I, Ideal(ring, [g]))
-        packing = _packing_for(ring, (g, *meet.gens))
-        divisor = _pack(g, packing)
-        quotients = [
-            _monic(_exact_quotient(_pack(h, packing), divisor, packing), ring.p) for h in meet.gens
-        ]
-        part = _finished(ring, [_unpack(q, packing) for q in _interreduce(quotients, packing)])
+        part = _linear_colon(basis, g)
+        if part is basis:
+            return basis
+        part = _finished(ring, _eliminated_colon(I, g) if part is None else part)
         result = part if result is None else intersect(result, part)
     return result.gens
+
+
+def _eliminated_colon(I, g):
+    """The reduced basis of (I : g) from that of I intersect (g): the
+    quotients h/g of its elements are a minimal Groebner basis of (I : g),
+    for f in (I : g) some lm(h) divides lm(f*g) = lm(f)*lm(g), and
+    lm(h) = lm(h/g)*lm(g).  Made monic and interreduced, they are its
+    reduced basis."""
+    ring = I.ring
+    meet = intersect(I, Ideal(ring, [g]))
+    packing = _packing_for(ring, (g, *meet.gens))
+    divisor = _pack(g, packing)
+    quotients = [
+        _monic(_exact_quotient(_pack(h, packing), divisor, packing), ring.p) for h in meet.gens
+    ]
+    return [_unpack(q, packing) for q in _interreduce(quotients, packing)]
+
+
+def _linear_colon(basis, g):
+    """The reduced basis of (I : g) when the ring is grevlex, g is a linear
+    form and ``basis``, the reduced basis of I, is homogeneous; that very
+    tuple when (I : g) = I, and ``None`` when the ring, g or I is not of
+    that kind.  No elimination: Bayer-Stillman (Invent. Math. 87, 1987;
+    Eisenbud, Commutative Algebra, Prop. 15.12).
+
+    With g = sum c_i x_i and k the last index with c_k nonzero, the linear
+    automorphism psi with x_k -> (x_n - sum_{i != k} c_i x_i)/c_k and, for
+    k < n, x_n -> x_k sends g to x_n.  Let G be the reduced basis of psi(I).
+    For a homogeneous h under grevlex, x_n divides lm(h) only if it divides
+    h, so dividing by x_n each element of G whose leading monomial it
+    divides gives a Groebner basis of psi(I) : x_n = psi(I : g); with no
+    such element, (I : g) = I.  The map back, psi^-1 with x_n -> g and, for
+    k < n, x_k -> x_n, and one Buchberger run give the reduced basis."""
+    ring = g.ring
+    if not (
+        ring.order.kind == "grevlex"
+        and g.total_degree() == 1
+        and g.is_homogeneous()
+        and all(h.is_homogeneous() for h in basis)
+    ):
+        return None
+    p = ring.p
+    size = len(ring.variables)
+    n = size - 1  # the index of x_n
+    coeffs = {e.index(1): c for e, c in g._terms.items()}
+    k = max(coeffs)
+    inv = pow(coeffs.pop(k), p - 2, p)
+    form = {_unit(size, i, 1): -c * inv % p for i, c in coeffs.items()}
+    form[_unit(size, n, 1)] = inv
+    image = groebner_basis(Ideal(ring, [_substitute(h, k, n, form) for h in basis]))
+    if not any(h.leading_monomial()[n] for h in image):
+        return basis
+    quotient = []
+    for h in image:
+        if h.leading_monomial()[n]:
+            h = Polynomial(ring, {e[:n] + (e[n] - 1,): c for e, c in h._terms.items()})
+        quotient.append(_substitute(h, n, k, g._terms))
+    return groebner_basis(Ideal(ring, quotient))
+
+
+def _substitute(f, v, w, form):
+    """``f`` with x_v replaced by the linear form with the terms ``form``
+    and, when w != v, x_w by x_v, by Horner's rule in the image of x_v."""
+    layers = {}  # the exponent of x_v -> the image of its cofactor in f
+    for e, c in f._terms.items():
+        cofactor = list(e)
+        cofactor[v] = 0
+        if w != v:
+            cofactor[v], cofactor[w] = e[w], 0
+        layers.setdefault(e[v], {})[tuple(cofactor)] = c
+    p = f.ring.p
+    acc = {}
+    for j in range(max(layers), -1, -1):
+        step = {}
+        for e, c in acc.items():
+            for u, d in form.items():
+                m = tuple(map(add, e, u))
+                step[m] = (step.get(m, 0) + c * d) % p
+        for e, c in layers.get(j, {}).items():
+            step[e] = (step.get(e, 0) + c) % p
+        acc = step
+    return Polynomial(f.ring, {e: c for e, c in acc.items() if c})
 
 
 def _lead_variables(f):

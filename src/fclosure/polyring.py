@@ -342,6 +342,11 @@ class Polynomial:
             return -1
         return max(map(sum, self._terms))
 
+    def is_homogeneous(self):
+        """True when every term has the same total degree (the zero
+        polynomial included) in the standard grading."""
+        return len(set(map(sum, self._terms))) <= 1
+
     # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other):

@@ -60,8 +60,10 @@ class ContractWorkload:
         return int(res.stabilized), 1, out
 
     def _fixedq(self):
+        # an inhomogeneous sop: colons by linear forms on a graded ring run
+        # no intersection, and this job is the one that reaches intersect
         R = workbench.builtin_ring("TWOPLANES")
-        x = sequences.SequenceSpec(R, [R.ring.parse("x + z"), R.ring.parse("y + w")])
+        x = sequences.SequenceSpec(R, [R.ring.parse("x + z"), R.ring.parse("y + w^2")])
         cfg = workbench.SurveyConfig(sample_count=2, seed=1, n_max=1, e_max=2)
         report = workbench.run_suite("fixedq", R, x=x, cfg=cfg)
         return int(report["passed"]), 1, report

@@ -343,6 +343,125 @@ def test_colon_by_a_leading_monomial_coprime_to_the_initial_ideal(monkeypatch):
             assert runs == []
 
 
+def _linear_form(rng, ring, last):
+    """A random linear form that has the last variable when ``last`` is
+    true and lacks it otherwise."""
+    n = len(ring.variables)
+    while True:
+        chosen = [i for i in range(n - 1) if rng.random() < 0.5] + ([n - 1] if last else [])
+        if chosen:
+            return ring.poly({polyring._unit(n, i, 1): rng.randrange(1, ring.p) for i in chosen})
+
+
+def _graded_ideal(rng, ring):
+    gens = [
+        random_nonzero_poly(rng, ring, max_degree=rng.randint(1, 3), max_terms=3, homogeneous=True)
+        for _ in range(rng.randint(1, 3))
+    ]
+    return Ideal(ring, gens)
+
+
+def _eliminated(I, K, monkeypatch):
+    """(I : K) with the linear-form rule turned off."""
+    with monkeypatch.context() as m:
+        m.setattr(ideals, "_linear_colon", lambda basis, g: None)
+        return colon(I, K)
+
+
+def test_colon_by_a_linear_form_matches_the_elimination(monkeypatch):
+    # Bayer-Stillman answers (I : g) for a homogeneous I and a linear form g
+    # on a grevlex ring with no elimination; its answer is the elimination's,
+    # for forms with and without the last variable, and both when
+    # (I : g) = I and when it is larger
+    linear = ideals._linear_colon
+    answered = []
+    monkeypatch.setattr(
+        ideals, "_linear_colon", lambda basis, g: answered.append(1) or linear(basis, g)
+    )
+    eliminate = ideals._eliminate_intersection
+    runs = []
+    monkeypatch.setattr(
+        ideals, "_eliminate_intersection", lambda I, K: runs.append(1) or eliminate(I, K)
+    )
+    rng = random.Random(20)
+    for p in (2, 5):
+        ring = PolyRing(p, "xyzw")
+        seen = {(last, same): 0 for last in (False, True) for same in (False, True)}
+        while min(seen.values()) < 4:
+            I = _graded_ideal(rng, ring)
+            last = rng.random() < 0.5
+            G = Ideal(ring, [_linear_form(rng, ring, last)])
+            del answered[:], runs[:]
+            quotient = colon(I, G)
+            if not answered:
+                continue  # the coprime-leading-monomial rule answered first
+            assert runs == []
+            assert quotient.gens == _eliminated(I, G, monkeypatch).gens
+            seen[last, ideal_equal(quotient, I)] += 1
+    # the rule answers for the zero and the unit ideal too, with I itself
+    g = _linear_form(rng, ring, True)
+    for I in (Ideal(ring, []), unit_ideal(ring)):
+        basis = groebner_basis(I)
+        assert linear(basis, g) is basis
+        assert colon(I, Ideal(ring, [g])) == I
+
+
+def _sympy_colon(I, g, names):
+    """The reduced grevlex basis of (I : g) by sympy: the t-free part of a
+    lex basis of t*I + (1-t)*(g), divided by g, as sets of terms."""
+    p = I.ring.p
+    syms = sympy.symbols(names)
+    t = sympy.Symbol("t")
+
+    def expr(f):
+        return sum(c * sympy.prod(s**k for s, k in zip(syms, e)) for e, c in f._terms.items())
+
+    lex = sympy.groebner(
+        [t * expr(h) for h in I.gens] + [(1 - t) * expr(g)], t, *syms, modulus=p, order="lex"
+    )
+    meet = [h for h in lex.exprs if t not in h.free_symbols]
+    quotients = [sympy.div(h, expr(g), *syms, modulus=p)[0] for h in meet]
+    theirs = sympy.groebner(quotients, *syms, modulus=p, order="grevlex")
+    return {frozenset((e, int(c) % p) for e, c in h.terms()) for h in theirs.polys}
+
+
+def test_colon_by_a_linear_form_matches_sympy():
+    names = ["x", "y", "z"]
+    rng = random.Random(22)
+    for p in (2, 5):
+        ring = PolyRing(p, names)
+        for i in range(6):
+            I = _graded_ideal(rng, ring)
+            if I.is_unit():
+                continue
+            g = _linear_form(rng, ring, i % 2 == 0)
+            ours = {frozenset(h._terms.items()) for h in colon(I, Ideal(ring, [g])).basis()}
+            assert ours == _sympy_colon(I, g, names)
+
+
+def test_colon_outside_the_linear_rule_keeps_the_elimination(monkeypatch):
+    # an inhomogeneous I, a lex ring and a divisor that is no linear form
+    # are left to the elimination; K with several linear forms intersects
+    # the rule's answers, and each gives the elimination's answer
+    rng = random.Random(23)
+    for p in (2, 5):
+        ring, lex = PolyRing(p, "xyz"), PolyRing(p, "xyz", order="lex")
+        cases = [
+            (ideal_from_text("x^2 + y; y*z", ring), ring.parse("x + z")),
+            (ideal_from_text("x^2 + y*z; y^2", lex), lex.parse("x + z")),
+            (ideal_from_text("x^2 + y*z; y^2", ring), ring.parse("x*y + z^2")),
+            (ideal_from_text("x^2 + y*z; y^2", ring), ring.parse("x + z + 1")),
+        ]
+        for I, g in cases:
+            assert ideals._linear_colon(groebner_basis(I), g) is None
+            G = Ideal(I.ring, [g])
+            assert colon(I, G).gens == _eliminated(I, G, monkeypatch).gens
+        for _ in range(6):
+            I = _graded_ideal(rng, ring)
+            K = Ideal(ring, [_linear_form(rng, ring, True), _linear_form(rng, ring, False)])
+            assert colon(I, K).gens == _eliminated(I, K, monkeypatch).gens
+
+
 def test_intersect_examples(R5, R4):
     assert str(intersect(Ideal(R5, [R5.var("x")]), Ideal(R5, [R5.var("y")]))) == "x*y"
     J = twoplanes_ideal(R4)
@@ -462,10 +581,44 @@ POW_CALLS = 10
 # reduced basis, 119 before its colons were iterated by the raw elements)
 USD_BUCHBERGER_RUNS = 37
 
+# the gates above divide by an inhomogeneous sop; the ones below by the
+# linear sop of _reg_linear_sop, whose colons are by linear forms of
+# homogeneous ideals
+
+# Buchberger runs, and elimination runs among them, of the USD box check of
+# the linear sop at n_max = 2, measured when colons by a linear form of a
+# homogeneous ideal came to run no elimination (51 and 32 before)
+LINEAR_USD_BUCHBERGER_RUNS = 33
+LINEAR_USD_ELIMINATION_RUNS = 0
+
+# elimination runs of the identity suite of the linear sop at n = 1,
+# measured when colons by a linear form of a homogeneous ideal came to run
+# no elimination (11 before)
+LINEAR_ELIMINATION_RUNS = 1
+
 
 def _reg_sop():
     R = workbench.builtin_ring("REG", p=5)
     return SequenceSpec(R, [R.ring.parse(t) for t in ("x + y*z", "y + z^2", "z + x^2")])
+
+
+def _reg_linear_sop():
+    R = workbench.builtin_ring("REG", p=5)
+    return SequenceSpec(R, [R.ring.parse(t) for t in ("4*y + z", "3*x + 2*z", "3*x + 3*y + 3*z")])
+
+
+def _counted_runs(monkeypatch):
+    """A list that records, for each Buchberger run from now on, whether it
+    ran on an elimination ring."""
+    runs = []
+    buchberger = ideals._buchberger
+
+    def counted(ideal):
+        runs.append(isinstance(ideal.ring.order, polyring.BlockOrder))
+        return buchberger(ideal)
+
+    monkeypatch.setattr(ideals, "_buchberger", counted)
+    return runs
 
 
 def test_order_key_calls_stay_within_the_gate(monkeypatch):
@@ -494,14 +647,7 @@ def test_elimination_runs_stay_within_the_gate(monkeypatch):
     # a deterministic work counter: the same identity suite may run
     # Buchberger on an elimination ring at most ELIMINATION_RUNS times
     x = _reg_sop()
-    runs = []
-    buchberger = ideals._buchberger
-
-    def counted(ideal):
-        runs.append(isinstance(ideal.ring.order, polyring.BlockOrder))
-        return buchberger(ideal)
-
-    monkeypatch.setattr(ideals, "_buchberger", counted)
+    runs = _counted_runs(monkeypatch)
     assert sequences.verify_identity_suite(x, 1).all_passed
     assert sum(runs) <= ELIMINATION_RUNS
 
@@ -527,6 +673,27 @@ def test_usd_buchberger_runs_stay_within_the_gate(monkeypatch):
     monkeypatch.setattr(ideals, "_buchberger", lambda ideal: runs.append(1) or buchberger(ideal))
     assert sequences.is_usd_bounded(x, 2).passed
     assert len(runs) <= USD_BUCHBERGER_RUNS
+
+
+def test_linear_sop_usd_runs_stay_within_the_gates(monkeypatch):
+    # deterministic work counters: the USD box check of the linear sop at
+    # n_max = 2 may run Buchberger at most LINEAR_USD_BUCHBERGER_RUNS times,
+    # at most LINEAR_USD_ELIMINATION_RUNS of them on an elimination ring
+    x = _reg_linear_sop()
+    runs = _counted_runs(monkeypatch)
+    assert sequences.is_usd_bounded(x, 2).passed
+    assert len(runs) <= LINEAR_USD_BUCHBERGER_RUNS
+    assert sum(runs) <= LINEAR_USD_ELIMINATION_RUNS
+
+
+def test_linear_sop_elimination_runs_stay_within_the_gate(monkeypatch):
+    # a deterministic work counter: the identity suite of the linear sop
+    # may run Buchberger on an elimination ring at most
+    # LINEAR_ELIMINATION_RUNS times
+    x = _reg_linear_sop()
+    runs = _counted_runs(monkeypatch)
+    assert sequences.verify_identity_suite(x, 1).all_passed
+    assert sum(runs) <= LINEAR_ELIMINATION_RUNS
 
 
 def test_usd_box_check_reduces_no_element_again(monkeypatch):
@@ -705,6 +872,33 @@ def test_memo_returns_the_stored_finished_ideal():
         assert ideal._basis is ideal.gens and ideal._divisors is not None
     assert m1 == intersect(ideal_from_text(I, ring), ideal_from_text(K, ring))
     assert c1 == colon(ideal_from_text(I, ring), ideal_from_text(K, ring))
+
+
+def test_memo_shares_the_packed_divisors_of_a_basis(monkeypatch):
+    # ideals whose basis comes from one memo entry share its packed
+    # divisors: the basis is packed once, and again only for a polynomial
+    # of higher degree, which then serves every one of them
+    ring = PolyRing(5, "xyz", config=EngineConfig(max_poly_degree=10))
+    text = "x^2 + y*z; y^2 - x*z"
+    low, high = ring.parse("x^3 + y^3"), ring.monomial((0, 0, 12)) + ring.parse("x^2*z")
+    packed = []
+    heads = ideals._heads
+
+    @memo_scope
+    def run():
+        A = ideal_from_text(text, ring)
+        B = ideal_from_text("; ".join(reversed(text.split("; "))), ring)
+        assert groebner_basis(B) is groebner_basis(A) and B._divisors is A._divisors
+        monkeypatch.setattr(ideals, "_heads", lambda G: packed.append(1) or heads(G))
+        out = [normal_form(low, A), normal_form(low, B)]
+        assert len(packed) == 1
+        out += [normal_form(high, B), normal_form(high, A), normal_form(low, A)]
+        assert len(packed) == 2
+        return out
+
+    I = ideal_from_text(text, ring)
+    expected = [normal_form(f, I) for f in (low, low, high, high, low)]
+    assert run() == expected
 
 
 def test_memo_lives_only_inside_the_outermost_call(monkeypatch):
