@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CertificateError, UnstabilizedError
+from .frobenius import _check_e, _check_e_max
 from .ideals import Ideal, colon, ideal_member
 from .sequences import SequenceSpec, limit_ideal
 
@@ -87,7 +88,9 @@ def is_zero_in_cohomology(elem):
 def t_action(elem, e):
     """Apply the Frobenius action T**e: raise the numerator to the p**e-th
     power and scale the denominator exponents by p**e.  The kernel
-    certificate is re-verified."""
+    certificate is re-verified.  ``e`` may not exceed the ring's
+    Frobenius exponent cap."""
+    _check_e(e, elem.seq.R.ring)
     if e == 0:
         return elem
     q = elem.seq.R.p**e
@@ -107,9 +110,10 @@ def hsl_exponent(elem, e_max):
     """The minimal e <= e_max with T**e killing the class of ``elem``;
     None when no torsion shows inside the window.  An indeterminate zero
     test (unstabilized limit chain) raises, since minimality would then be
-    undecidable.  Raises ``ValueError`` unless ``e_max >= 0``."""
-    if e_max < 0:
-        raise ValueError(f"the largest exponent e_max must be non-negative, not {e_max}")
+    undecidable.  Raises ``ValueError`` unless ``e_max >= 0``, and
+    ``BudgetExceededError`` on reaching an e past the Frobenius exponent
+    cap."""
+    _check_e_max(e_max)
     for e in range(e_max + 1):
         verdict = is_zero_in_cohomology(t_action(elem, e))
         if verdict is None:

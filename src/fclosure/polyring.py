@@ -12,7 +12,7 @@ because coefficients live in the prime field, where c**p == c.
 from __future__ import annotations
 
 import re
-from operator import neg
+from operator import mul, neg
 
 from .config import DEFAULT_CONFIG
 from .errors import BudgetExceededError, ParseError, RingMismatchError
@@ -100,23 +100,12 @@ class BlockOrder(MonomialOrder):
         self.split = split  # number of leading (kept) variables
 
     def key(self, exps):
-        # the base order's part is built here, not by a second key call: a
-        # block base peels its own aux block the same way, and the last base
-        # is grevlex or lex, keyed exactly as MonomialOrder.key keys it
-        split, base = self.split, self.base
-        tail, head = exps[split:], exps[:split]
-        part = (sum(tail), *map(neg, tail[::-1]))
-        while base.kind == "block":
-            split, base = base.split, base.base
-            tail, head = head[split:], head[:split]
-            part += (sum(tail), *map(neg, tail[::-1]))
-        if base.kind == "grevlex":
-            return (*part, sum(head), *map(neg, head[::-1]))
-        return (*part, *head)
+        # entry k is row k of rows() dotted with exps
+        return tuple(sum(map(mul, row, exps)) for row in self.rows(len(exps)))
 
     def rows(self, n):
-        # the rows of key: the aux tail by grevlex, then the base order's
-        # rows on the leading block
+        # the aux tail by grevlex, then the base order's rows on the leading
+        # block
         m = n - self.split
         head, tail = (0,) * self.split, (0,) * m
         aux = [head + row for row in MonomialOrder("grevlex").rows(m)]
@@ -373,15 +362,7 @@ class Polynomial:
 
     def __sub__(self, other):
         self._check(other)
-        p = self.ring.p
-        terms = dict(self._terms)
-        for e, c in other._terms.items():
-            s = (terms.get(e, 0) - c) % p
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return Polynomial(self.ring, terms)
+        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):

@@ -408,7 +408,9 @@ def _nil_suite(R, a, nil_gens, cfg):
             q_prime_e = e
             break
     if q_prime_e is None:
-        raise FClosureError("the given ideal is not nilpotent within the exponent cap")
+        raise BudgetExceededError(
+            "the given ideal is not nilpotent within the exponent cap", kind="exponent"
+        )
     reduced = QuotientRing(R.ring, list(R.J.gens) + list(nil_gens))
     targets = [a] if a is not None else []
     if not targets:

@@ -379,6 +379,34 @@ def test_certified_closure_matches_the_kernel_oracle_at_p5():
             assert ideal_equal(kernel_preimage_oracle(_stage(a, F, e), e, 2), res.closure)
 
 
+# four of the six sops that sample_parameter_ideals draws on FERMAT3 at
+# p = 2 with SurveyConfig(sample_count=6, seed=3, max_degree=2, lengths=(2,)),
+# each with its closure at e_max = 2.  They are inhomogeneous, so each chain
+# runs the lookahead window through the preimages at e = 1 and 2; an
+# elimination at q = p^e exceeds its pair budget at e = 2 on such sops.  The
+# other two sops of that draw take 30 s or more each and are left out.
+FERMAT3_P2_SOPS = {
+    "x*y + y^2; x*y + x + y": "x*z^2 + y*z^2; z^3; x^2 + x + y; x*y + x + y; y^2 + x + y",
+    "x^2 + y*z + z^2 + z; x^2 + x*z + y*z + z": "y^3; y^2*z; x^2 + y*z + z; x*z; z^2",
+    "x^2 + x*y + y^2 + z^2 + z; x^2 + x*y + y^2 + z^2 + x + y + z": "y*z^2; z^3; y^2 + z^2 + z; x + y",
+    "x^2 + y*z + z^2 + x + y; y*z + z^2 + x": "z^2; x; y",
+}
+
+
+@pytest.mark.parametrize("sop", FERMAT3_P2_SOPS)
+def test_inhomogeneous_sops_at_p2_match_the_kernel_oracle(sop):
+    # every chain stage against the linear-algebra oracle at the largest
+    # degree of its reduced basis
+    F = builtin_ring("FERMAT3", p=2)
+    a = F.preimage([F.ring.parse(t) for t in sop.split(";")])
+    res = frobenius_closure(a, F, e_max=2)
+    assert res.e_star == 1 and len(res.chain) == 3
+    assert "; ".join(map(str, res.closure.basis())) == FERMAT3_P2_SOPS[sop]
+    for e, stage in enumerate(res.chain):
+        degree = max(g.total_degree() for g in stage.basis())
+        assert ideal_equal(kernel_preimage_oracle(_stage(a, F, e), e, degree), stage)
+
+
 def test_certificate_needs_a_homogeneous_full_sop_of_a_hypersurface():
     # TWOPLANES is no hypersurface; (y) is a partial sop of FERMAT3; y + x^2
     # is inhomogeneous.  Each runs the lookahead window: it ends lookahead

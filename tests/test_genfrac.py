@@ -3,7 +3,7 @@ action and torsion exponents."""
 
 import pytest
 
-from fclosure.errors import CertificateError
+from fclosure.errors import BudgetExceededError, CertificateError
 from fclosure.genfrac import hsl_exponent, is_zero_in_cohomology, make_elem, t_action
 from fclosure.ideals import Ideal, colon, groebner_basis
 from fclosure.sequences import SequenceSpec
@@ -99,6 +99,18 @@ def test_t_action_formula_and_composition(TW):
     assert (repr(elem), repr(once)) == ("<x + z / (x + z)>", "<x^2 + z^2 / ((x + z)^2)>")
     assert once.numerator == TW.reduce(h.frobenius(1))
     assert t_action(once, 1) == t_action(elem, 2)
+
+
+def test_t_action_keeps_the_exponent_cap(TW):
+    # T^9 on TWOPLANES (cap 8) would raise the denominators to 2^9 = 512, a
+    # Frobenius power that frobenius_power refuses; so does the T-action,
+    # and with it a torsion search whose window passes the cap
+    elem = make_elem(TW.ring.var("x"), tw_sop(TW), 1)
+    for run in (lambda: t_action(elem, 9), lambda: hsl_exponent(elem, 9)):
+        with pytest.raises(BudgetExceededError) as err:
+            run()
+        assert err.value.kind == "exponent"
+        assert str(err.value) == "Frobenius exponent 9 exceeds the configured cap 8"
 
 
 def test_hsl_zero_element_is_zero(TW):

@@ -727,6 +727,36 @@ def test_saturate_properties(R5):
         assert ideal_equal(again, sat) and s == 0
 
 
+def test_saturation_cap_is_reported():
+    # (x^3) : x^oo climbs (x^2), (x), (1) and repeats (1) at s = 3, so a cap
+    # of 4 steps reaches the repeat and a cap of 3 stops before it
+    def saturate_x_cubed(cap):
+        ring = PolyRing(5, ["x", "y"], config=EngineConfig(saturation_cap=cap))
+        return saturate(ideal_from_text("x^3", ring), ideal_from_text("x", ring))
+
+    out, s = saturate_x_cubed(4)
+    assert out.is_unit() and s == 3
+    with pytest.raises(BudgetExceededError) as err:
+        saturate_x_cubed(3)
+    assert err.value.kind == "saturation"
+    assert str(err.value) == "saturation did not stabilize within 3 steps"
+
+
+def test_reduction_degree_budget_is_reported():
+    # under lex, x^2 reduces modulo x - y^3 through x*y^3 to y^6, a term of
+    # higher degree than x^2 and the basis; the reduction checks each term it
+    # creates against the budget before storing it
+    def reduce_x_squared(budget):
+        ring = PolyRing(5, ["x", "y"], order="lex", config=EngineConfig(max_poly_degree=budget))
+        return normal_form(ring.parse("x^2"), ideal_from_text("x - y^3", ring))
+
+    assert str(reduce_x_squared(6)) == "y^6"
+    with pytest.raises(BudgetExceededError) as err:
+        reduce_x_squared(5)
+    assert err.value.kind == "degree"
+    assert str(err.value) == "reduction exceeded the degree budget 5"
+
+
 def test_krull_dimension_examples(R5, R4):
     assert krull_dimension(Ideal(R4, [])) == 4
     assert krull_dimension(ideal_from_text("x; y", R5)) == 0

@@ -15,7 +15,7 @@ import pytest
 import fclosure.polyring as polyring
 from fclosure.cli import _run, main
 from fclosure.config import EngineConfig
-from fclosure.errors import InternalError, ParseError, RingMismatchError
+from fclosure.errors import BudgetExceededError, InternalError, ParseError, RingMismatchError
 from fclosure.ideals import ideal_equal
 from fclosure.polyring import PolyRing
 from fclosure.sequences import SequenceSpec, is_subsystem_of_parameters, is_system_of_parameters
@@ -151,6 +151,20 @@ def test_sampler_regular_full_length():
     batch = sample_parameter_ideals(REG, cfg)
     assert len(batch.sequences) == 5
     assert all(is_system_of_parameters(s) for s in batch.sequences)
+
+
+def test_sampler_retry_budget_is_reported():
+    # on NILLINE at seed 0 the sampler draws the nilpotent x once among its
+    # first five linear forms, so four samples need five attempts: a budget
+    # of two attempts per sample allows that, a budget of one does not
+    cfg = SurveyConfig(sample_count=4, seed=0)
+    NIL = builtin_ring("NILLINE", config=EngineConfig(sample_retry_factor=2))
+    assert sample_parameter_ideals(NIL, cfg).stats() == {"attempts": 5, "rejected": 1, "accepted": 4}
+    NIL = builtin_ring("NILLINE", config=EngineConfig(sample_retry_factor=1))
+    with pytest.raises(BudgetExceededError) as err:
+        sample_parameter_ideals(NIL, cfg)
+    assert err.value.kind == "sampling"
+    assert str(err.value) == "could not find 4 parameter sequences of length 1 within 4 attempts"
 
 
 def test_sampler_requires_positive_dimension():
@@ -500,6 +514,7 @@ def test_cli_operational_errors(capsys):
         ("survey-q --ring TWOPLANES --samples -3", "sample_count must be at least 1, not -3"),
         ("survey-q --ring REG --degree 0 --samples 2", "max_degree must be at least 1, not 0"),
         ("verify nil --ring NILLINE --nil x --samples 0", "sample_count must be at least 1, not 0"),
+        ("verify nil --ring NILLINE --nil y", "the given ideal is not nilpotent within the exponent cap"),
         ("hsl --ring FERMAT3 --char 11 --emax 0", "the HSL chain did not settle within e <= 0"),
         ("hsl --ring TWOPLANES", "is not a hypersurface with a homogeneous relation"),
     ],
@@ -545,6 +560,15 @@ def test_cli_indeterminate_outcomes_exit_2(capsys):
     assert [(r["status"], r["cause"]) for r in records] == [
         ("error", "Frobenius exponent 9 exceeds the configured cap 8")
     ]
+
+
+def test_nil_suite_reports_the_exponent_cap():
+    # y is no nilpotent of NILLINE: no y^[p^e] with e <= cap lies in J
+    NIL = builtin_ring("NILLINE")
+    with pytest.raises(BudgetExceededError) as err:
+        run_suite("nil", NIL, nil_gens=[NIL.ring.var("y")])
+    assert err.value.kind == "exponent"
+    assert str(err.value) == "the given ideal is not nilpotent within the exponent cap"
 
 
 def test_cli_nil_lists_target_generators_in_the_order_given(capsys):
