@@ -74,8 +74,6 @@ class QuotientRing:
             if r.coefficient((0,) * len(ring.variables)):
                 raise ValueError(f"relation has a nonzero constant term: {r}")
         self.J = Ideal(ring, rels)
-        if self.J.is_unit():
-            raise ValueError("the defining ideal is the unit ideal")
         self.dimension = krull_dimension(self.J)
 
     @property
@@ -324,6 +322,10 @@ def _preimage_step(I):
     if all(ideal_member(g.frobenius(1), I) for g in groebner_basis(root)):
         return root
     n = len(ring.variables)
+    # the module below starts from p**n vectors per basis element
+    limit = ring.config.max_basis_size
+    if p**n * len(basis) > limit:
+        raise BudgetExceededError(f"module basis budget {limit} exceeded", kind="basis")
     offsets = list(itertools.product(range(p), repeat=n))
     comp_index = {off: i for i, off in enumerate(offsets)}  # (0,...,0) -> 0
     vectors = []

@@ -9,8 +9,8 @@ depend on that order.  Budgets come from the ring's
 
 Inside one call of an entry point marked :func:`memo_scope`, reduced bases,
 intersections and colons of rings without auxiliary variables are memoized
-on the ring and the generators, in any order (all through :func:`_reused`),
-so each distinct one is computed once.  The memo keeps the finished results
+on the ring and the set of generators (all through :func:`_reused`), so
+each distinct one is computed once.  The memo keeps the finished results
 themselves, a basis as its tuple of polynomials (with the packed divisors
 that every ideal with that basis shares) and an intersection or a colon as
 its :class:`Ideal`, so a repeated request shares that ideal's key and
@@ -69,25 +69,15 @@ def memo_scope(fn):
     return scoped
 
 
-def _code(terms):
-    """The (exponents, coefficient) pairs ``terms`` as a list of ints:
-    their count, then each term's exponents and coefficient."""
-    out = [len(terms)]
-    for exps, c in terms:
-        out += exps
-        out.append(c)
-    return out
-
-
 def _reused(kind, ring, operands, compute):
     """What ``compute()`` returns: a reduced basis with the one-item list
     that holds its packed divisors, or a finished :class:`Ideal` with its
     reduced basis set.  Inside a :func:`memo_scope` call on a ring without
     auxiliary variables it is kept as it is under ``kind``, the ring and
-    the keys of the ideals ``operands`` (see :func:`_ideal_key`), so that a
-    request with the same generators in any order gets the same object
-    back, and with it whatever that object has cached since; nothing is
-    kept when ``compute`` raises."""
+    the generator sets of the ideals ``operands`` (see :func:`_ideal_key`),
+    so that a request with the same generators, in any order or repeated,
+    gets the same object back, and with it whatever that object has cached
+    since; nothing is kept when ``compute`` raises."""
     memo = _MEMO.get()
     if memo is None or isinstance(ring.order, BlockOrder):
         return compute()
@@ -99,22 +89,12 @@ def _reused(kind, ring, operands, compute):
 
 
 def _ideal_key(ideal):
-    """The generators of ``ideal`` in a memo key: the tuple of their codes
-    (see :func:`_key_code`) in sorted order, so that the key does not
-    depend on the order given; built once per ideal.  The codes are not
-    joined, so keys share each polynomial's code instead of copying it."""
+    """The generators of ``ideal`` in a memo key: their frozenset, which
+    compares polynomials by value through their cached hash and so does
+    not depend on the order given or on repeats; built once per ideal."""
     if ideal._key is None:
-        ideal._key = tuple(sorted(map(_key_code, ideal.gens)))
+        ideal._key = frozenset(ideal.gens)
     return ideal._key
-
-
-def _key_code(f):
-    """The code of ``f`` in a memo key as an int tuple, built once per
-    polynomial: a key needs only a canonical order of terms, so it takes the
-    plain order of exponent tuples, which costs no order key."""
-    if f._key is None:
-        f._key = tuple(_code(sorted(f._terms.items())))
-    return f._key
 
 
 class Ideal:
@@ -146,7 +126,7 @@ class Ideal:
         # the reduced basis that _remainder packs; groebner_basis hands one
         # list to every ideal whose basis comes from one memo entry
         self._divisors = None
-        # the generators' memo key, set by _ideal_key
+        # the generator set that keys the memo, set by _ideal_key
         self._key = None
 
     def basis(self):

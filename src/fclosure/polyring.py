@@ -288,14 +288,13 @@ class Polynomial:
     operators or the ring constructors.
     """
 
-    __slots__ = ("ring", "_terms", "_sorted", "_hash", "_key")
+    __slots__ = ("ring", "_terms", "_sorted", "_hash")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self._terms = terms
         self._sorted = None
         self._hash = None
-        self._key = None  # the memo-key code, set by fclosure.ideals
 
     # -- views -------------------------------------------------------------
 
@@ -577,7 +576,8 @@ class _Parser:
             f = self.expr()
             self.expect_op(")")
             return f
-        raise ParseError(f"syntax error at position {pos}: unexpected {val!r}", pos)
+        what = "end of input" if kind is None else repr(val)
+        raise ParseError(f"syntax error at position {pos}: unexpected {what}", pos)
 
 
 def frobenius_decompose(f, e):

@@ -54,11 +54,14 @@ class RingDescription:
 
     def build(self, config=None):
         ring = PolyRing(self.p, self.variables, config=config)
-        rels = [ring.parse(text) for text in self.relations]
-        R = QuotientRing(ring, rels)
-        if R.dimension == 0:
-            warnings.warn("the quotient ring has dimension 0", stacklevel=2)
-        return R
+        return _quotient_ring(ring, [ring.parse(text) for text in self.relations])
+
+
+def _quotient_ring(ring, relations):
+    R = QuotientRing(ring, relations)
+    if R.dimension == 0:
+        warnings.warn("the quotient ring has dimension 0", stacklevel=3)
+    return R
 
 
 _BUILTINS = {
@@ -112,7 +115,7 @@ def load_ring(path, config=None):
             elif head == "rel":
                 if p is None or variables is None:
                     raise ParseError(f"{path}:{lineno}: 'rel' before 'char'/'vars'")
-                relations.append(rest)
+                relations.append((lineno, rest))
             else:
                 raise ParseError(f"{path}:{lineno}: unknown directive {head!r}")
     if p is None:
@@ -120,9 +123,14 @@ def load_ring(path, config=None):
     if variables is None:
         raise ParseError(f"{path}: missing 'vars' line")
     try:
-        return RingDescription(p, variables, tuple(relations)).build(config)
-    except ParseError:
-        raise
+        ring = PolyRing(p, variables, config=config)
+        rels = []
+        for lineno, text in relations:
+            try:
+                rels.append(ring.parse(text))
+            except ParseError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}", exc.position) from exc
+        return _quotient_ring(ring, rels)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

@@ -5,8 +5,9 @@ import random
 
 import pytest
 
+from fclosure import frobenius
 from fclosure.config import EngineConfig
-from fclosure.errors import BudgetExceededError, QExponentNotFoundError
+from fclosure.errors import BudgetExceededError, QExponentNotFoundError, RingMismatchError
 from fclosure.frobenius import (
     FrobeniusExponent,
     QuotientRing,
@@ -78,6 +79,22 @@ def test_degree_budget_bounds_frobenius_powers():
     assert res.stabilized
 
 
+def test_module_engine_checks_its_basis_budget_before_entering(monkeypatch):
+    # the preimage step of (x, y) on FERMAT3 at p = 5 builds 5^3 vectors per
+    # basis element, past a basis budget of 100: it must raise before the
+    # module engine enters any of them
+    R = builtin_ring("FERMAT3", config=EngineConfig(max_basis_size=100))
+
+    def entered(vectors, ring):
+        pytest.fail(f"the module engine was entered with {len(vectors)} vectors")
+
+    monkeypatch.setattr(frobenius, "_module_intersection_component", entered)
+    with pytest.raises(BudgetExceededError) as err:
+        frobenius_closure(R.preimage(R.ring.gens()[:2]), R, e_max=2)
+    assert err.value.kind == "basis"
+    assert str(err.value) == "module basis budget 100 exceeded"
+
+
 def test_frobenius_root_examples():
     R2 = PolyRing(2, ["x", "y"])
     assert str(frobenius_root(ideal_from_text("x^2*y^3", R2), 1)) == "x*y"
@@ -118,6 +135,14 @@ def test_preimage_is_inside_root():
     for _ in range(10):
         I = random_ideal(rng, ring, max_gens=2, max_degree=3)
         assert ideal_contains(frobenius_root(I, 1), frobenius_preimage(I, 1))
+
+
+def test_quotient_ring_validation():
+    ring = PolyRing(5, ["x", "y"])
+    with pytest.raises(RingMismatchError, match="relation lies in a different ring"):
+        QuotientRing(ring, [PolyRing(7, ["x", "y"]).var("x")])
+    with pytest.raises(ValueError, match=r"relation has a nonzero constant term: x \+ 1"):
+        QuotientRing(ring, [ring.var("x"), ring.parse("x + 1")])
 
 
 def test_closure_regular_ring_is_identity():

@@ -876,19 +876,27 @@ def test_memo_gives_the_unmemoized_results(monkeypatch):
 
 
 def test_memo_returns_the_stored_finished_ideal():
-    # a repeat with its generators in another order, built from new
-    # polynomials, gets the very basis and ideal the first request stored,
-    # and with them their memo keys and packed bases
+    # a repeat with its generators in another order, or with a generator
+    # given twice, built from new polynomials, gets the very basis and ideal
+    # the first request stored, and with them their memo keys and packed
+    # bases
     ring = PolyRing(5, "xyz")
     I, K = "x^2 + y*z; y^2 - x*z; x*y*z", "x*y + z; z^2 - x"
 
     def reversed_text(text):
         return "; ".join(reversed(text.split("; ")))
 
+    def repeated_text(text):
+        return f"{text}; {text.split('; ')[0]}"
+
     @memo_scope
-    def twice():
+    def rounds():
         out = []
-        for text_i, text_k in ((I, K), (reversed_text(I), reversed_text(K))):
+        for text_i, text_k in (
+            (I, K),
+            (reversed_text(I), reversed_text(K)),
+            (repeated_text(I), repeated_text(K)),
+        ):
             A, B = ideal_from_text(text_i, ring), ideal_from_text(text_k, ring)
             meet, quotient = intersect(A, B), colon(A, B)
             for ideal in (meet, quotient):
@@ -896,8 +904,9 @@ def test_memo_returns_the_stored_finished_ideal():
             out.append((groebner_basis(A), meet, quotient))
         return out
 
-    (b1, m1, c1), (b2, m2, c2) = twice()
+    (b1, m1, c1), (b2, m2, c2), (b3, m3, c3) = rounds()
     assert b2 is b1 and m2 is m1 and c2 is c1
+    assert b3 is b1 and m3 is m1 and c3 is c1
     for ideal in (m1, c1):
         assert ideal._basis is ideal.gens and ideal._divisors is not None
     assert m1 == intersect(ideal_from_text(I, ring), ideal_from_text(K, ring))

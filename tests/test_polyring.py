@@ -44,6 +44,16 @@ def test_parse_error_reports_position():
         ring.parse("")
     with pytest.raises(ParseError):
         ring.parse("x y")  # juxtaposition is not multiplication
+    for text, position, message in (
+        ("x +", 3, "unexpected end of input"),
+        ("x*", 2, "unexpected end of input"),
+        ("(x + y", 6, "expected ')'"),
+        ("x^y", 2, "exponent must be an integer"),
+    ):
+        with pytest.raises(ParseError) as err:
+            ring.parse(text)
+        assert str(err.value) == f"syntax error at position {position}: {message}"
+        assert err.value.position == position
 
 
 def test_ring_validation():
@@ -71,6 +81,8 @@ def test_ring_mismatch():
     b = PolyRing(7, ["x"]).var("x")
     with pytest.raises(RingMismatchError):
         a + b
+    with pytest.raises(TypeError, match="cannot combine Polynomial with str"):
+        a + "x"
 
 
 def test_monomial_compare_examples():

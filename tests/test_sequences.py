@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from fclosure.config import EngineConfig
-from fclosure.errors import BudgetExceededError, ColonByZeroWarning
+from fclosure.errors import BudgetExceededError, ColonByZeroWarning, RingMismatchError
 from fclosure.frobenius import QuotientRing
 from fclosure.ideals import Ideal, colon, ideal_contains, ideal_equal
 from fclosure.polyring import PolyRing
@@ -54,6 +54,8 @@ def test_sequence_validation(TW):
         SequenceSpec(TW, [rg.var("x")], [0])
     with pytest.raises(ValueError):
         SequenceSpec(TW, [])
+    with pytest.raises(RingMismatchError, match="different ring"):
+        SequenceSpec(TW, [PolyRing(5, ["x"]).var("x")])
 
 
 def test_with_exponents_shares_the_checked_elements(TW, monkeypatch):

@@ -86,6 +86,19 @@ def test_load_ring_line_errors(tmp_path):
     path = _write(tmp_path, "bad3.ring", "char 5\nvars x\nfoo bar\n")
     with pytest.raises(ParseError, match="unknown directive"):
         load_ring(path)
+    # a relation that does not parse keeps its line, as every other error
+    for text, message in (
+        ("char five\nvars x\n", ":1: malformed characteristic 'five'"),
+        ("char 5\nvars\n", ":2: no variables given"),
+        ("vars x y\n", ": missing 'char' line"),
+        ("char 5\n# none\n", ": missing 'vars' line"),
+        ("char 5\nvars x y\nrel x*q\n", ":3: unknown variable 'q' at position 2"),
+        ("char 5\nvars x y\n\nrel\n", ":4: empty polynomial expression"),
+    ):
+        path = _write(tmp_path, "bad4.ring", text)
+        with pytest.raises(ParseError) as err:
+            load_ring(path)
+        assert str(err.value) == path + message
 
 
 def test_load_ring_rejects_a_repeated_char_or_vars_line(tmp_path):
