@@ -128,8 +128,10 @@ def load_ring(path, config=None):
         for lineno, text in relations:
             try:
                 rels.append(ring.parse(text))
-            except ParseError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}", exc.position) from exc
+            except FClosureError as exc:
+                # located at its line, keeping its type and its fields
+                exc.args = (f"{path}:{lineno}: {exc}",)
+                raise
         return _quotient_ring(ring, rels)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc

@@ -102,6 +102,11 @@ def test_frobenius_root_examples():
     assert ideal_equal(out, ideal_from_text("x; y", R2))
     out = frobenius_root(ideal_from_text("x^2; y^2", R2), 1)
     assert ideal_equal(out, ideal_from_text("x; y", R2))
+    # the root at e = 0 is the ideal itself; a negative e has none
+    I = ideal_from_text("x^3 + y^3", R2)
+    assert frobenius_root(I, 0) is I
+    with pytest.raises(ValueError, match="non-negative"):
+        frobenius_root(I, -1)
 
 
 def test_root_power_adjunction_random():
@@ -127,6 +132,20 @@ def test_preimage_matches_kernel_oracle():
                 bound = max([g.total_degree() for g in main.basis()] + [2]) + 1
                 assert ideal_equal(main, kernel_preimage_oracle(I, e, bound))
                 assert all(ideal_member(g.frobenius(e), I) for g in main.basis())
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_homogeneous_preimage_matches_kernel_oracle(order):
+    # homogeneous ideals whose preimage steps leave the root fast path, on
+    # a grevlex and a lex ring
+    for p in (2, 3):
+        ring = PolyRing(p, ["x", "y", "z"], order=order)
+        for text in ("x^3 + y^3 + z^3; x^4", "x*y + z^2; y^3", "x^2*y + y*z^2; x^3 + z^3; y^4"):
+            I = ideal_from_text(text, ring)
+            for e in (1, 2):
+                main = frobenius_preimage(I, e)
+                bound = max([g.total_degree() for g in main.basis()] + [2]) + 1
+                assert ideal_equal(main, kernel_preimage_oracle(I, e, bound))
 
 
 def test_preimage_is_inside_root():
@@ -402,6 +421,19 @@ def test_certified_closure_matches_the_kernel_oracle_at_p5():
         exponents = (eta + 1, eta + 2) if a in coordinate else (eta + 1,)
         for e in exponents:
             assert ideal_equal(kernel_preimage_oracle(_stage(a, F, e), e, 2), res.closure)
+
+
+def test_partial_sop_closure_matches_the_kernel_oracle():
+    # (x) is a partial sop of FERMAT3, so its chain runs the lookahead
+    # window through e = 2; every stage is homogeneous, and its preimage
+    # steps leave the root fast path
+    F = builtin_ring("FERMAT3", p=5)
+    a = F.preimage([F.ring.parse("x")])
+    res = frobenius_closure(a, F, e_max=2)
+    assert res.e_star == 0 and len(res.chain) == 3
+    assert str(res.closure) == "y^3 + z^3; x"
+    for e, stage in enumerate(res.chain):
+        assert ideal_equal(kernel_preimage_oracle(_stage(a, F, e), e, 3), stage)
 
 
 # four of the six sops that sample_parameter_ideals draws on FERMAT3 at

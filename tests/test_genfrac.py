@@ -3,7 +3,8 @@ action and torsion exponents."""
 
 import pytest
 
-from fclosure.errors import BudgetExceededError, CertificateError
+from fclosure.config import EngineConfig
+from fclosure.errors import BudgetExceededError, CertificateError, UnstabilizedError
 from fclosure.genfrac import hsl_exponent, is_zero_in_cohomology, make_elem, t_action
 from fclosure.ideals import Ideal, colon, groebner_basis
 from fclosure.sequences import SequenceSpec
@@ -126,6 +127,16 @@ def test_hsl_not_found_for_torsion_free_class(TW):
     elem = make_elem(TW.ring.var("x"), sop, 1)
     assert is_zero_in_cohomology(elem) is False
     assert hsl_exponent(elem, 4) is None
+
+
+def test_zero_test_is_indeterminate_without_a_limit_chain_step():
+    # a limit-ideal chain capped at one value cannot show two equal ones:
+    # the zero test has no verdict, and the torsion search cannot go on
+    TW = builtin_ring("TWOPLANES", config=EngineConfig(limit_chain_cap=0))
+    elem = make_elem(TW.ring.parse("x + z"), tw_sop(TW), 1)
+    assert is_zero_in_cohomology(elem) is None
+    with pytest.raises(UnstabilizedError, match="e=0 was indeterminate"):
+        hsl_exponent(elem, 2)
 
 
 def test_hsl_rejects_an_empty_window(TW):

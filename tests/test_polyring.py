@@ -49,11 +49,14 @@ def test_parse_error_reports_position():
         ("x*", 2, "unexpected end of input"),
         ("(x + y", 6, "expected ')'"),
         ("x^y", 2, "exponent must be an integer"),
+        ("x $ y", 2, "unexpected '$'"),
     ):
         with pytest.raises(ParseError) as err:
             ring.parse(text)
         assert str(err.value) == f"syntax error at position {position}: {message}"
         assert err.value.position == position
+    # trailing whitespace is no character of the expression
+    assert ring.parse("x + y \t ") == ring.parse("x + y")
 
 
 def test_ring_validation():

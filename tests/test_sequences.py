@@ -82,6 +82,12 @@ def test_sop_examples(TW, REG):
     assert not is_subsystem_of_parameters(bad)
     assert is_subsystem_of_parameters(SequenceSpec(TW, [TW.ring.parse("x + z")]))
     assert not is_subsystem_of_parameters(SequenceSpec(TW, [TW.ring.var("x")]))
+    # a part of a system of parameters is no system, and a longer sequence
+    # than dim R = 2 is neither
+    assert not is_system_of_parameters(SequenceSpec(TW, [TW.ring.parse("x + z")]))
+    longer = SequenceSpec(TW, [TW.ring.parse(t) for t in ("x + z", "y + w", "x")])
+    assert not is_system_of_parameters(longer)
+    assert not is_subsystem_of_parameters(longer)
 
 
 def test_d_sequence_examples(TW, REG, XY):

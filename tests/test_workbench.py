@@ -99,6 +99,12 @@ def test_load_ring_line_errors(tmp_path):
         with pytest.raises(ParseError) as err:
             load_ring(path)
         assert str(err.value) == path + message
+    # so does a relation past a budget, which keeps its kind
+    path = _write(tmp_path, "big.ring", "char 5\nvars x y\n\nrel x^70000\n")
+    with pytest.raises(BudgetExceededError) as err:
+        load_ring(path)
+    assert err.value.kind == "degree"
+    assert str(err.value) == path + ":4: power 70000 exceeded the degree budget 60000"
 
 
 def test_load_ring_rejects_a_repeated_char_or_vars_line(tmp_path):
@@ -374,6 +380,8 @@ def test_run_suite_dispatch():
         cfg=SurveyConfig(sample_count=4, seed=4, e_max=3, max_degree=2),
     )
     assert out["passed"]
+    with pytest.raises(ValueError, match="nilpotent ideal generators"):
+        run_suite("nil", NIL)
     with pytest.raises(ValueError):
         run_suite("nope", TW)
     with pytest.raises(ValueError):
