@@ -67,7 +67,6 @@ from .sequences import (
 from .genfrac import GenFracElem, hsl_exponent, is_zero_in_cohomology, make_elem, t_action
 from .workbench import (
     QReport,
-    RingDescription,
     SurveyConfig,
     builtin_ring,
     load_ring,

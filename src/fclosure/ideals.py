@@ -690,8 +690,9 @@ def _colon_gens(I, K):
     (see :func:`_eliminated_colon`)."""
     ring = I.ring
     basis = groebner_basis(I)
-    leads = functools.reduce(or_, map(_lead_variables, basis), 0)
-    if any(not _lead_variables(g) & leads for g in K.gens):
+    packing = _packing_for(ring, (*basis, *K.gens))
+    leads = functools.reduce(or_, (_lead_variables(g, packing) for g in basis), 0)
+    if any(not _lead_variables(g, packing) & leads for g in K.gens):
         return basis
     result = None
     for g in K.gens:
@@ -785,10 +786,10 @@ def _substitute(f, v, w, form):
     return Polynomial(f.ring, {e: c for e, c in acc.items() if c})
 
 
-def _lead_variables(f):
+def _lead_variables(f, packing):
     """The variables of the leading monomial of the nonzero ``f`` as a bit
-    mask, read from the largest of its packed monomials: no order key."""
-    packing = _packing_for(f.ring, (f,))
+    mask, read from the largest of its monomials under ``packing``: no
+    order key."""
     lead = packing.unpack(max(map(packing.pack, f._terms)))
     return sum(1 << i for i, e in enumerate(lead) if e)
 

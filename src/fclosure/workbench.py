@@ -20,7 +20,6 @@ from .errors import (
     BudgetExceededError,
     FClosureError,
     ParseError,
-    QExponentNotFoundError,
     RingMismatchError,
     UnstabilizedError,
 )
@@ -43,46 +42,30 @@ from .sequences import (
 )
 
 
-@dataclass(frozen=True)
-class RingDescription:
-    """Textual presentation of a quotient ring: characteristic, variable
-    names, and relation polynomials."""
-
-    p: int
-    variables: tuple
-    relations: tuple = ()
-
-    def build(self, config=None):
-        ring = PolyRing(self.p, self.variables, config=config)
-        return _quotient_ring(ring, [ring.parse(text) for text in self.relations])
-
-
-def _quotient_ring(ring, relations):
-    R = QuotientRing(ring, relations)
-    if R.dimension == 0:
-        warnings.warn("the quotient ring has dimension 0", stacklevel=3)
-    return R
-
-
+# a built-in ring is a ring file without its ``char`` line, which the
+# caller's characteristic or the ring's default supplies
 _BUILTINS = {
-    "REG": lambda p: RingDescription(p or 5, ("x", "y", "z")),
-    "NILLINE": lambda p: RingDescription(p or 2, ("x", "y"), ("x^2",)),
-    "TWOPLANES": lambda p: RingDescription(
-        p or 2, ("x", "y", "z", "w"), ("x*z", "x*w", "y*z", "y*w")
-    ),
-    "FERMAT3": lambda p: RingDescription(p or 5, ("x", "y", "z"), ("x^3 + y^3 + z^3",)),
+    "REG": (5, ("vars x y z",)),
+    "NILLINE": (2, ("vars x y", "rel x^2")),
+    "TWOPLANES": (2, ("vars x y z w", "rel x*z", "rel x*w", "rel y*z", "rel y*w")),
+    "FERMAT3": (5, ("vars x y z", "rel x^3 + y^3 + z^3")),
 }
 
 
 def builtin_ring(name, p=None, config=None):
-    """One of the built-in example rings: REG, NILLINE, TWOPLANES, FERMAT3."""
+    """One of the built-in example rings: REG, NILLINE, TWOPLANES, FERMAT3,
+    in characteristic ``p``, or in the ring's default one when ``p`` is
+    ``None``.  Raises ``ValueError`` for an unknown name or a
+    characteristic that is not a prime in range."""
     try:
-        desc = _BUILTINS[name](p)
+        default, lines = _BUILTINS[name]
     except KeyError:
         raise ValueError(f"unknown built-in ring {name!r}") from None
-    if name == "FERMAT3" and desc.p % 3 != 2:
+    if p is None:
+        p = default
+    if name == "FERMAT3" and p % 3 != 2:
         raise ValueError("FERMAT3 needs a characteristic congruent to 2 mod 3")
-    return desc.build(config)
+    return _read_ring((f"char {p}", *lines), name, config)
 
 
 def load_ring(path, config=None):
@@ -91,50 +74,60 @@ def load_ring(path, config=None):
     Line format: ``char <p>``, ``vars <name> <name> ...``, zero or more
     ``rel <polynomial>`` lines; ``#`` begins a comment.
     """
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    try:
+        return _read_ring(lines, path, config)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def _read_ring(lines, where, config):
+    """The quotient ring that the ring-file ``lines`` describe (see
+    :func:`load_ring`); an error of a line is located at ``where:line``."""
     p = None
     variables = None
     relations = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            head, _, rest = line.partition(" ")
-            rest = rest.strip()
-            if (head == "char" and p is not None) or (head == "vars" and variables is not None):
-                raise ParseError(f"{path}:{lineno}: repeated {head!r} line")
-            if head == "char":
-                try:
-                    p = int(rest)
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: malformed characteristic {rest!r}")
-            elif head == "vars":
-                variables = tuple(rest.split())
-                if not variables:
-                    raise ParseError(f"{path}:{lineno}: no variables given")
-            elif head == "rel":
-                if p is None or variables is None:
-                    raise ParseError(f"{path}:{lineno}: 'rel' before 'char'/'vars'")
-                relations.append((lineno, rest))
-            else:
-                raise ParseError(f"{path}:{lineno}: unknown directive {head!r}")
-    if p is None:
-        raise ParseError(f"{path}: missing 'char' line")
-    if variables is None:
-        raise ParseError(f"{path}: missing 'vars' line")
-    try:
-        ring = PolyRing(p, variables, config=config)
-        rels = []
-        for lineno, text in relations:
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        head, _, rest = line.partition(" ")
+        rest = rest.strip()
+        if (head == "char" and p is not None) or (head == "vars" and variables is not None):
+            raise ParseError(f"{where}:{lineno}: repeated {head!r} line")
+        if head == "char":
             try:
-                rels.append(ring.parse(text))
-            except FClosureError as exc:
-                # located at its line, keeping its type and its fields
-                exc.args = (f"{path}:{lineno}: {exc}",)
-                raise
-        return _quotient_ring(ring, rels)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+                p = int(rest)
+            except ValueError:
+                raise ParseError(f"{where}:{lineno}: malformed characteristic {rest!r}")
+        elif head == "vars":
+            variables = tuple(rest.split())
+            if not variables:
+                raise ParseError(f"{where}:{lineno}: no variables given")
+        elif head == "rel":
+            if p is None or variables is None:
+                raise ParseError(f"{where}:{lineno}: 'rel' before 'char'/'vars'")
+            relations.append((lineno, rest))
+        else:
+            raise ParseError(f"{where}:{lineno}: unknown directive {head!r}")
+    if p is None:
+        raise ParseError(f"{where}: missing 'char' line")
+    if variables is None:
+        raise ParseError(f"{where}: missing 'vars' line")
+    ring = PolyRing(p, variables, config=config)
+    rels = []
+    for lineno, text in relations:
+        try:
+            rels.append(ring.parse(text))
+        except FClosureError as exc:
+            # located at its line, keeping its type and its fields
+            exc.args = (f"{where}:{lineno}: {exc}",)
+            raise
+    R = QuotientRing(ring, rels)
+    if R.dimension == 0:
+        warnings.warn("the quotient ring has dimension 0", stacklevel=3)
+    return R
 
 
 def resolve_ring(name_or_path, p=None, config=None):
@@ -317,14 +310,16 @@ def survey_uniform_q(R, cfg):
                 record["status"] = "unstabilized"
                 failures += 1
             else:
-                Q = q_exponent(ideal, R, e_max=cfg.e_max, closure=closure.closure)
+                # the chain ascends inside a^F, so (a^F)^[p^e] lies in
+                # a^[p^e] + J exactly when F_e = a^F: Q(a) = p^(e*)
+                q = R.p**closure.e_star
                 record["status"] = "ok"
-                record["q_exponent_e"] = Q.e
-                record["q_exponent"] = Q.q
-                histogram[str(Q.q)] = histogram.get(str(Q.q), 0) + 1
-                if max_q is None or Q.q > max_q:
-                    max_q = Q.q
-        except (UnstabilizedError, QExponentNotFoundError, BudgetExceededError) as exc:
+                record["q_exponent_e"] = closure.e_star
+                record["q_exponent"] = q
+                histogram[str(q)] = histogram.get(str(q), 0) + 1
+                if max_q is None or q > max_q:
+                    max_q = q
+        except (UnstabilizedError, BudgetExceededError) as exc:
             record["status"] = "error"
             record["cause"] = str(exc)
             failures += 1

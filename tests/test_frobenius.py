@@ -287,6 +287,23 @@ def test_q_exponent_monotone_once_equal():
         assert not ideal_equal(lhs, rhs)
 
 
+@pytest.mark.parametrize(
+    "name, p",
+    [("NILLINE", None), ("TWOPLANES", None), ("FERMAT3", 2), ("FERMAT3", 5), ("REG", 2), ("REG", 5)],
+)
+def test_q_exponent_is_read_off_the_closure_chain(name, p):
+    # the chain ascends inside a^F, so (a^F)^[p^e] lies in a^[p^e] + J
+    # exactly when F_e = a^F: the scan finds Q = p^(e*), which the survey
+    # records without running it
+    R = builtin_ring(name, p=p)
+    cfg = SurveyConfig(sample_count=10, seed=0, lengths=(R.dimension,))
+    for seq in sample_parameter_ideals(R, cfg).sequences:
+        a = R.preimage(seq.effective())
+        res = frobenius_closure(a, R, e_max=3)
+        assert res.stabilized
+        assert q_exponent(a, R, e_max=3, closure=res.closure).q == R.p**res.e_star
+
+
 def test_nil_reduction_bound():
     # with n nilpotent of level Q' and Q-tilde taken in R/n, Q(a) <= Q' * Q-tilde
     NIL = builtin_ring("NILLINE")

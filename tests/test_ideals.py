@@ -714,6 +714,10 @@ def test_saturate_examples(R5):
     assert str(out) == "x" and s == 0
     out, s = saturate(ideal_from_text("x^2", R5), ideal_from_text("x", R5))
     assert out.is_unit()
+    # saturation by the zero ideal is the unit ideal, as colon by it is
+    with pytest.warns(ColonByZeroWarning):
+        out, s = saturate(ideal_from_text("x", R5), Ideal(R5, []))
+    assert out.is_unit() and s == 0
 
 
 def test_saturate_properties(R5):
@@ -778,6 +782,7 @@ def test_radical_member_examples(R5, R4):
     assert not radical_member(R5.var("y"), ideal_from_text("x", R5))
     I = ideal_sum(twoplanes_ideal(R4), ideal_from_text("(x+z)^2; (y+w)^2", R4))
     assert radical_member(R4.parse("x + z"), I)
+    assert radical_member(R5.zero, ideal_from_text("x", R5))
 
 
 def test_budget_is_reported():

@@ -139,14 +139,22 @@ def test_builtins():
         builtin_ring("NOPE")
 
 
-def test_dim_zero_warns():
+def test_builtin_characteristic_is_checked_as_given(capsys):
+    # 0 is a characteristic, not a request for the ring's default
+    with pytest.raises(ValueError, match="modulus not prime"):
+        builtin_ring("REG", p=0)
+    assert main(["gb", "--ring", "REG", "--char", "0", "--ideal", "x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "modulus not prime" in captured.err
+
+
+def test_dim_zero_warns(tmp_path):
     import warnings
 
-    from fclosure.workbench import RingDescription
-
+    path = _write(tmp_path, "point.ring", "char 5\nvars x\nrel x^2\n")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        RingDescription(5, ("x",), ("x^2",)).build()
+        load_ring(path)
     assert any("dimension 0" in str(w.message) for w in caught)
 
 
@@ -186,14 +194,13 @@ def test_sampler_retry_budget_is_reported():
     assert str(err.value) == "could not find 4 parameter sequences of length 1 within 4 attempts"
 
 
-def test_sampler_requires_positive_dimension():
+def test_sampler_requires_positive_dimension(tmp_path):
     import warnings
 
-    from fclosure.workbench import RingDescription
-
+    path = _write(tmp_path, "point.ring", "char 5\nvars x\nrel x^3\n")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        R0 = RingDescription(5, ("x",), ("x^3",)).build()
+        R0 = load_ring(path)
     with pytest.raises(ValueError, match="positive dimension"):
         sample_parameter_ideals(R0, SurveyConfig(sample_count=1))
 
