@@ -14,7 +14,11 @@ Two different "e-th root" operations appear here and must not be confused:
 
 The preimage always sits inside the root, and they agree exactly when every
 root generator certifies.  Each Frobenius step of the preimage tests that
-once, which avoids the module computation entirely on regular rings.
+once, which avoids the module computation entirely on regular rings.  A
+step depends on its ideal alone, so inside one
+:func:`~fclosure.ideals.memo_scope` call each step is computed once per
+distinct reduced basis: the closure chains of a survey meet the same
+stages, and request each of them again.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ from .errors import (
 )
 from .ideals import (
     Ideal,
+    _finished,
+    _reused,
     groebner_basis,
     ideal_contains,
     ideal_equal,
@@ -310,12 +316,27 @@ def _module_intersection_component(vectors, ring):
 
 
 def _preimage_step(I):
-    """{r : r**p in I} for an ideal of the polynomial ring."""
+    """{r : r**p in I} for an ideal of the polynomial ring, as an ideal
+    with its reduced basis set.  It depends on I alone, so inside a
+    :func:`~fclosure.ideals.memo_scope` call it is memoized on the reduced
+    basis of I: ideals with different generators and one basis share it."""
     ring = I.ring
-    p = ring.p
     basis = groebner_basis(I)
     if not basis:
         return I
+    return _reused(
+        "preimage",
+        ring,
+        (_finished(ring, basis),),
+        lambda: _finished(ring, groebner_basis(_computed_step(I, basis))),
+    )
+
+
+def _computed_step(I, basis):
+    """{r : r**p in I} for an ideal I with the nonempty reduced basis
+    ``basis``."""
+    ring = I.ring
+    p = ring.p
     # fast path: if every digit component of the basis certifies, the root
     # and the preimage coincide
     root = frobenius_root(Ideal(ring, basis), 1)

@@ -9,12 +9,14 @@ depend on that order.  Budgets come from the ring's
 
 Inside one call of an entry point marked :func:`memo_scope`, reduced bases,
 intersections and colons of rings without auxiliary variables are memoized
-on the ring and the set of generators (all through :func:`_reused`), so
-each distinct one is computed once.  The memo keeps the finished results
-themselves, a basis as its tuple of polynomials (with the packed divisors
-that every ideal with that basis shares) and an intersection or a colon as
-its :class:`Ideal`, so a repeated request shares that ideal's key and
-packed basis; the memo is dropped when that call returns or raises.
+on the ring and the set of generators, and the Frobenius preimage steps of
+:mod:`fclosure.frobenius` on the ring and the reduced basis (all through
+:func:`_reused`), so each distinct one is computed once.  The memo keeps
+the finished results themselves, a basis as its tuple of polynomials (with
+the packed divisors that every ideal with that basis shares) and an
+intersection, a colon or a preimage step as its :class:`Ideal`, so a
+repeated request shares that ideal's key and packed basis; the memo is
+dropped when that call returns or raises.
 
 A colon runs an elimination only when no rule answers it without one: a
 divisor whose leading monomial is coprime to in(I), and a linear form
@@ -77,7 +79,10 @@ def _reused(kind, ring, operands, compute):
     the generator sets of the ideals ``operands`` (see :func:`_ideal_key`),
     so that a request with the same generators, in any order or repeated,
     gets the same object back, and with it whatever that object has cached
-    since; nothing is kept when ``compute`` raises."""
+    since; nothing is kept when ``compute`` raises.  A result that depends
+    on an operand's ideal alone is keyed on that ideal's reduced basis by
+    passing the :func:`_finished` ideal of the basis as the operand, as a
+    Frobenius preimage step does."""
     memo = _MEMO.get()
     if memo is None or isinstance(ring.order, BlockOrder):
         return compute()

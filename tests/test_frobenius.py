@@ -20,16 +20,18 @@ from fclosure.frobenius import (
 )
 from fclosure.ideals import (
     Ideal,
+    groebner_basis,
     ideal_contains,
     ideal_equal,
     ideal_from_text,
     ideal_member,
     ideal_sum,
     krull_dimension,
+    memo_scope,
 )
 from fclosure.polyring import PolyRing
 from fclosure.sequences import limit_ideal
-from fclosure.workbench import builtin_ring, sample_parameter_ideals, SurveyConfig
+from fclosure.workbench import SurveyConfig, builtin_ring, sample_parameter_ideals, survey_uniform_q
 
 from helpers import closure_chain_oracle, kernel_preimage_oracle, monomials_up_to, random_ideal
 
@@ -154,6 +156,82 @@ def test_preimage_is_inside_root():
     for _ in range(10):
         I = random_ideal(rng, ring, max_gens=2, max_degree=3)
         assert ideal_contains(frobenius_root(I, 1), frobenius_preimage(I, 1))
+
+
+def _counted_steps(monkeypatch):
+    """A list that records the ideal of each preimage step computed from
+    now on, memo hits left out."""
+    steps = []
+    computed = frobenius._computed_step
+    monkeypatch.setattr(
+        frobenius, "_computed_step", lambda I, basis: steps.append(I) or computed(I, basis)
+    )
+    return steps
+
+
+def test_preimage_step_is_computed_once_per_reduced_basis(monkeypatch):
+    # one ideal four ways: as given, reversed, with a generator repeated and
+    # as its own reduced basis; inside one scope they share one step
+    ring = PolyRing(3, "xyz")
+    gens = [ring.parse(t) for t in ("x^2*y + z^3", "x*y^2 - z", "y^4")]
+
+    @memo_scope
+    def four_ways():
+        I = Ideal(ring, gens)
+        assert set(groebner_basis(I)) != set(gens)
+        reduced = Ideal(ring, groebner_basis(I))
+        forms = (I, Ideal(ring, gens[::-1]), Ideal(ring, gens + gens[:1]), reduced)
+        return [frobenius_preimage(K, 1) for K in forms]
+
+    steps = _counted_steps(monkeypatch)
+    results = four_ways()
+    assert len(steps) == 1
+    assert all(result is results[0] for result in results)
+    # outside a scope every call computes
+    steps.clear()
+    for _ in range(2):
+        assert frobenius_preimage(Ideal(ring, gens), 1).basis() == results[0].basis()
+    assert len(steps) == 2
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_memoized_preimage_matches_unscoped_and_the_kernel_oracle(p):
+    # the e = 2 preimage takes its first step from the memo of the e = 1 call
+    rng = random.Random(90 + p)
+    ring = PolyRing(p, "xyz")
+    inputs = [
+        random_ideal(rng, ring, max_gens=2, max_degree=2, max_terms=3, homogeneous=homogeneous)
+        for homogeneous in (True, False)
+        for _ in range(3)
+    ]
+    assert not any(I.is_unit() for I in inputs)
+
+    @memo_scope
+    def memoized():
+        return [[frobenius_preimage(I, e) for e in (1, 2)] for I in inputs]
+
+    for I, found in zip(inputs, memoized()):
+        for e, main in enumerate(found, start=1):
+            assert main.basis() == frobenius_preimage(I, e).basis()
+            bound = max([g.total_degree() for g in main.basis()] + [2]) + 1
+            assert ideal_equal(main, kernel_preimage_oracle(I, e, bound))
+
+
+# preimage steps computed by a survey at p = 2 with
+# SurveyConfig(sample_count=20, seed=3, lengths=..., e_max=3), measured when
+# preimage steps came to be memoized on the reduced basis of their ideal
+# (every requested step, 40 and 20, before; 28 and 2 when keyed on the
+# generator sets)
+PREIMAGE_STEP_RUNS = {"FERMAT3": 18, "NILLINE": 1}
+
+
+@pytest.mark.parametrize("name, lengths", [("FERMAT3", (1, 2)), ("NILLINE", (1,))])
+def test_survey_preimage_steps_stay_within_the_gate(monkeypatch, name, lengths):
+    # a deterministic work counter, not a time
+    R = builtin_ring(name, p=2)
+    steps = _counted_steps(monkeypatch)
+    survey_uniform_q(R, SurveyConfig(sample_count=20, seed=3, lengths=lengths, e_max=3))
+    assert 0 < len(steps) <= PREIMAGE_STEP_RUNS[name]
 
 
 def test_quotient_ring_validation():

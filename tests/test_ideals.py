@@ -31,7 +31,7 @@ from fclosure.ideals import (
     unit_ideal,
 )
 from fclosure.ideals import _spoly
-from fclosure.frobenius import QuotientRing
+from fclosure.frobenius import QuotientRing, frobenius_preimage
 from fclosure.polyring import PolyRing
 from fclosure.sequences import SequenceSpec
 
@@ -1013,3 +1013,17 @@ def test_memo_does_not_keep_a_budget_failure():
         return dict(ideals._MEMO.get())
 
     assert twice() == {}
+
+    # a preimage step past the module basis budget raises on every request:
+    # the bases it took before raising stay, the step does not
+    R = workbench.builtin_ring("FERMAT3", config=EngineConfig(max_basis_size=100))
+
+    @memo_scope
+    def step_twice():
+        for _ in range(2):
+            with pytest.raises(BudgetExceededError) as err:
+                frobenius_preimage(R.preimage(R.ring.gens()[:2]), 1)
+            assert err.value.kind == "basis"
+        return dict(ideals._MEMO.get())
+
+    assert {key[0] for key in step_twice()} == {"gb"}
