@@ -10,30 +10,29 @@ never silently ignored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-
-@dataclass(frozen=True)
-class EngineConfig:
+# each field with its default
+_FIELDS = {
     # Groebner engine: kinds "basis", "pairs" and "degree"; the degree
     # budget also bounds every power f**n and g**(p**e) before it is built
-    max_basis_size: int = 2000
-    max_pairs: int = 200_000
-    max_poly_degree: int = 60_000
-
+    "max_basis_size": 2000,
+    "max_pairs": 200_000,
+    "max_poly_degree": 60_000,
     # Frobenius exponent e in q = p**e: kind "exponent"
-    frobenius_e_cap: int = 8
-
+    "frobenius_e_cap": 8,
     # ascending-chain iteration caps: the limit-ideal chain raises
     # UnstabilizedError, saturation kind "saturation"
-    limit_chain_cap: int = 12
-    saturation_cap: int = 64
-
+    "limit_chain_cap": 12,
+    "saturation_cap": 64,
     # bounded unconditioned-strong-d-sequence verification: kind "usd"
-    usd_length_cap: int = 5
-
+    "usd_length_cap": 5,
     # sampler retry budget, attempts per requested sample: kind "sampling"
-    sample_retry_factor: int = 200
+    "sample_retry_factor": 200,
+}
+
+
+EngineConfig = namedtuple("EngineConfig", _FIELDS, defaults=_FIELDS.values())
 
 
 DEFAULT_CONFIG = EngineConfig()

@@ -12,20 +12,20 @@ Two different "e-th root" operations appear here and must not be confused:
   chain needs: each generator it returns carries the membership certificate
   g**q in I by construction.
 
-The preimage always sits inside the root, and they agree exactly when every
-root generator certifies.  Each Frobenius step of the preimage tests that
-once, which avoids the module computation entirely on regular rings.  A
-step depends on its ideal alone, so inside one
-:func:`~fclosure.ideals.memo_scope` call each step is computed once per
-distinct reduced basis: the closure chains of a survey meet the same
-stages, and request each of them again.
+The preimage is taken one Frobenius step r -> r**p at a time, and each step
+is an elimination of auxiliary variables, weighted when the ideal is
+homogeneous (see the comment above :func:`_preimage_step`).  The preimage
+always sits inside the root, and they agree exactly when every root
+generator certifies; each step tests that first, which avoids the
+elimination entirely on regular rings.  A step depends on its ideal alone,
+so inside one :func:`~fclosure.ideals.memo_scope` call each step is
+computed once per distinct reduced basis: the closure chains of a survey
+meet the same stages, and request each of them again.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import (
     BudgetExceededError,
@@ -46,15 +46,13 @@ from .ideals import (
     memo_scope,
     normal_form,
 )
-from .polyring import Polynomial, frobenius_decompose
+from .polyring import Polynomial, _unit, frobenius_decompose
 
 
-@dataclass(frozen=True)
-class FrobeniusExponent:
+class FrobeniusExponent(namedtuple("FrobeniusExponent", "e q")):
     """A power q = p**e of the characteristic."""
 
-    e: int
-    q: int
+    __slots__ = ()
 
     @staticmethod
     def of(p, e):
@@ -155,164 +153,14 @@ def frobenius_root(I, e):
 # Frobenius preimage {r : r**(p**e) in I}
 #
 # One Frobenius step at a time: {r : r**(p**e) in I} = step applied e times,
-# since r**(p**e) = (r**p)**(p**(e-1)).  A single step is a submodule
-# elimination over S: decompose S as a free module over its subring of p-th
-# powers with basis x**alpha, alpha in [0,p)^n; then I becomes the submodule
-# spanned by the digit splits of x**alpha * g, and {r : r**p in I} is its
-# intersection with the coordinate corresponding to alpha = 0.
-
-
-def _vec_key(order, comp, exps):
-    # component 0 is eliminated last: all other components dominate it
-    return (1 if comp else 0, comp) + tuple(order.key(exps))
-
-
-def _vec_lt(v, order):
-    return max(v, key=lambda t: _vec_key(order, t[0], t[1]))
-
-
-def _vec_monic(v, p, order):
-    comp, exps = _vec_lt(v, order)
-    c = v[(comp, exps)]
-    if c == 1:
-        return v
-    inv = pow(c, p - 2, p)
-    return {t: (inv * c2) % p for t, c2 in v.items()}
-
-
-def _vec_reduce(v, basis, ring):
-    """Fully reduce a module element against basis vectors (all monic)."""
-    if not v:
-        return v
-    p, order = ring.p, ring.order
-    work = dict(v)
-    out = {}
-    heap = [(tuple(-x for x in _vec_key(order, c, e)), c, e) for (c, e) in work]
-    heapq.heapify(heap)
-    max_deg = ring.config.max_poly_degree
-    while heap:
-        _, comp, e = heapq.heappop(heap)
-        c = work.get((comp, e))
-        if not c:
-            continue
-        hit = None
-        for lt, w in basis:
-            if lt[0] == comp and all(a >= b for a, b in zip(e, lt[1])):
-                hit = (lt, w)
-                break
-        if hit is None:
-            del work[(comp, e)]
-            out[(comp, e)] = c
-            continue
-        (lcomp, lexps), w = hit
-        shift = tuple(a - b for a, b in zip(e, lexps))
-        for (wc, we), coef in w.items():
-            ee = tuple(a + b for a, b in zip(shift, we))
-            t = (wc, ee)
-            s = (work.get(t, 0) - c * coef) % p
-            if s:
-                if t not in work:
-                    if sum(ee) > max_deg:
-                        raise BudgetExceededError(
-                            f"module reduction exceeded the degree budget {max_deg}",
-                            kind="degree",
-                        )
-                    heapq.heappush(heap, (tuple(-x for x in _vec_key(order, wc, ee)), wc, ee))
-                work[t] = s
-            else:
-                work.pop(t, None)
-    return out
-
-
-def _module_intersection_component(vectors, ring):
-    """Groebner computation of N ∩ (S * e_0) for the submodule N spanned by
-    ``vectors`` of a free module, under a position-over-term order that
-    eliminates every component except 0.
-
-    Returns the polynomials r with r*e_0 in N.  The coprime-leading-term
-    shortcut is unsound for modules, so only the chain criterion is used.
-    """
-    p = ring.p
-    order = ring.order
-    config = ring.config
-    G = []
-    lts = []
-    pending = set()
-    heap = []
-
-    def push_pairs(j):
-        cj, ej = lts[j]
-        for i in range(j):
-            ci, ei = lts[i]
-            if ci != cj:
-                continue
-            lcm = tuple(max(a, b) for a, b in zip(ei, ej))
-            pending.add((i, j))
-            heapq.heappush(heap, (_vec_key(order, ci, lcm), i, j, ci, lcm))
-
-    for v in sorted(
-        (v for v in vectors if v),
-        key=lambda v: _vec_key(order, *_vec_lt(v, order)),
-        reverse=True,
-    ):
-        w = _vec_reduce(v, G, ring) if G else dict(v)
-        if not w:
-            continue
-        w = _vec_monic(w, p, order)
-        G.append((_vec_lt(w, order), w))
-        lts.append(G[-1][0])
-        push_pairs(len(G) - 1)
-
-    processed = 0
-    while heap:
-        _, i, j, comp, lcm = heapq.heappop(heap)
-        pending.discard((i, j))
-        processed += 1
-        if processed > config.max_pairs:
-            raise BudgetExceededError(
-                f"module pair budget {config.max_pairs} exceeded", kind="pairs"
-            )
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j):
-                continue
-            ck, ek = lts[k]
-            if ck == comp and all(a >= b for a, b in zip(lcm, ek)):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik not in pending and pjk not in pending:
-                    skip = True
-                    break
-        if skip:
-            continue
-        (ci, ei), u = G[i]
-        (cj, ej), w = G[j]
-        si = tuple(a - b for a, b in zip(lcm, ei))
-        sj = tuple(a - b for a, b in zip(lcm, ej))
-        spair = {}
-        for (wc, we), coef in u.items():
-            t = (wc, tuple(a + b for a, b in zip(si, we)))
-            spair[t] = (spair.get(t, 0) + coef) % p
-        for (wc, we), coef in w.items():
-            t = (wc, tuple(a + b for a, b in zip(sj, we)))
-            spair[t] = (spair.get(t, 0) - coef) % p
-        spair = {t: c for t, c in spair.items() if c}
-        h = _vec_reduce(spair, G, ring)
-        if not h:
-            continue
-        if len(G) >= config.max_basis_size:
-            raise BudgetExceededError(
-                f"module basis budget {config.max_basis_size} exceeded", kind="basis"
-            )
-        G.append((_vec_lt(h, order), _vec_monic(h, p, order)))
-        lts.append(G[-1][0])
-        push_pairs(len(G) - 1)
-
-    out = []
-    for (comp, _), w in G:
-        if comp == 0 and all(c == 0 for (c, _e) in w):
-            out.append(Polynomial(ring, {e: coef for (_c, e), coef in w.items()}))
-    return out
+# since r**(p**e) = (r**p)**(p**(e-1)).  A single step is an elimination
+# (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 3): with
+# auxiliary variables t, r(x) lies in I(t) + (x_i - t_i**p) iff
+# r(t**p) = r(t)**p lies in I(t), so {r : r**p in I} is the intersection of
+# that ideal with F_p[x].  When I is homogeneous the big ideal is
+# homogeneous for deg x_i = p and deg t_i = 1, and the order compares those
+# degrees first: within one degree it still eliminates t, and it keeps the
+# Buchberger run degree by degree.
 
 
 def _preimage_step(I):
@@ -334,7 +182,7 @@ def _preimage_step(I):
 
 def _computed_step(I, basis):
     """{r : r**p in I} for an ideal I with the nonempty reduced basis
-    ``basis``."""
+    ``basis``, as an ideal with its reduced basis set."""
     ring = I.ring
     p = ring.p
     # fast path: if every digit component of the basis certifies, the root
@@ -343,24 +191,16 @@ def _computed_step(I, basis):
     if all(ideal_member(g.frobenius(1), I) for g in groebner_basis(root)):
         return root
     n = len(ring.variables)
-    # the module below starts from p**n vectors per basis element
-    limit = ring.config.max_basis_size
-    if p**n * len(basis) > limit:
-        raise BudgetExceededError(f"module basis budget {limit} exceeded", kind="basis")
-    offsets = list(itertools.product(range(p), repeat=n))
-    comp_index = {off: i for i, off in enumerate(offsets)}  # (0,...,0) -> 0
-    vectors = []
-    for g in basis:
-        for off in offsets:
-            w = g * ring.monomial(off)
-            vec = {}
-            for exps, c in w._terms.items():
-                alpha = tuple(x % p for x in exps)
-                base = tuple(x // p for x in exps)
-                vec[(comp_index[alpha], base)] = c
-            vectors.append(vec)
-    gens = _module_intersection_component(vectors, ring)
-    return Ideal(ring, gens)
+    homogeneous = all(g.is_homogeneous() for g in basis)
+    big = ring.extended(n, p if homogeneous else None)
+    # g(t) for g in the basis, then x_i - t_i**p
+    gens = [Polynomial(big, {(0,) * n + e: c for e, c in g._terms.items()}) for g in basis]
+    for i in range(n):
+        gens.append(big.poly({_unit(2 * n, i, 1): 1, _unit(2 * n, n + i, p): -1}))
+    # the weight may order the projected basis otherwise than the ring does
+    projected = [ring.project(g) for g in groebner_basis(Ideal(big, gens))]
+    projected.sort(key=lambda g: ring.order.key(g.leading_monomial()), reverse=True)
+    return _finished(ring, tuple(projected))
 
 
 def frobenius_preimage(I, e):
@@ -380,8 +220,12 @@ def frobenius_preimage(I, e):
 # closure chain
 
 
-@dataclass
-class ClosureResult:
+class ClosureResult(
+    namedtuple(
+        "ClosureResult",
+        "closure e_star certified_lower stabilized examined_e chain certified_upper",
+    )
+):
     """Outcome of a Frobenius-closure chain computation.
 
     ``closure`` is the last chain value (a preimage ideal containing J).
@@ -396,13 +240,16 @@ class ClosureResult:
     the reverse containment rests on the lookahead window and is heuristic.
     """
 
-    closure: Ideal
-    e_star: int | None
-    certified_lower: bool
-    stabilized: bool
-    examined_e: int
-    chain: list = field(default_factory=list)
-    certified_upper: bool = False
+    __slots__ = ()
+
+    def __new__(
+        cls, closure, e_star, certified_lower, stabilized, examined_e, chain=None,
+        certified_upper=False,
+    ):
+        chain = [] if chain is None else chain
+        return super().__new__(
+            cls, closure, e_star, certified_lower, stabilized, examined_e, chain, certified_upper
+        )
 
 
 def _check_e_max(e_max):

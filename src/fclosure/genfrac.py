@@ -12,23 +12,19 @@ which is what guarantees a well-defined cohomology class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import CertificateError, UnstabilizedError
 from .frobenius import _check_e, _check_e_max
 from .ideals import Ideal, colon, ideal_member
-from .sequences import SequenceSpec, limit_ideal
+from .sequences import limit_ideal
 
 
-@dataclass(frozen=True)
-class GenFracElem:
+class GenFracElem(namedtuple("GenFracElem", "numerator seq r denominators")):
     """Numerator plus denominator exponents over the first r elements of a
     full parameter sequence.  For r = 0 the fraction is just the numerator."""
 
-    numerator: object
-    seq: SequenceSpec
-    r: int
-    denominators: tuple
+    __slots__ = ()
 
     def __repr__(self):
         if self.r == 0:

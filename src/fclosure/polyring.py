@@ -89,40 +89,49 @@ class BlockOrder(MonomialOrder):
     grevlex, then the leading block is compared by ``base``.
 
     Used internally for elimination of auxiliary variables; an elimination
-    order for the tail block for any base order.
+    order for the tail block for any base order.  With ``weight`` set, the
+    row (weight, ..., weight, 1, ..., 1), ``weight`` on the leading block and
+    1 on the tail, is compared first.  That order eliminates the tail only
+    within one weighted degree, so it serves ideals that are homogeneous for
+    those degrees.
     """
 
-    __slots__ = ("base", "split")
+    __slots__ = ("base", "split", "weight")
 
-    def __init__(self, base, split):
+    def __init__(self, base, split, weight=None):
         self.kind = "block"
         self.base = base
         self.split = split  # number of leading (kept) variables
+        self.weight = weight
 
     def key(self, exps):
         # entry k is row k of rows() dotted with exps
         return tuple(sum(map(mul, row, exps)) for row in self.rows(len(exps)))
 
     def rows(self, n):
-        # the aux tail by grevlex, then the base order's rows on the leading
-        # block
+        # the weight row if set, the aux tail by grevlex, then the base
+        # order's rows on the leading block
         m = n - self.split
         head, tail = (0,) * self.split, (0,) * m
         aux = [head + row for row in MonomialOrder("grevlex").rows(m)]
-        return aux + [row + tail for row in self.base.rows(self.split)]
+        rows = aux + [row + tail for row in self.base.rows(self.split)]
+        if self.weight:
+            rows.insert(0, (self.weight,) * self.split + (1,) * m)
+        return rows
 
     def __eq__(self, other):
         return (
             isinstance(other, BlockOrder)
             and self.base == other.base
             and self.split == other.split
+            and self.weight == other.weight
         )
 
     def __hash__(self):
-        return hash(("block", self.base, self.split))
+        return hash(("block", self.base, self.split, self.weight))
 
     def __repr__(self):
-        return f"BlockOrder(base={self.base!r}, split={self.split})"
+        return f"BlockOrder(base={self.base!r}, split={self.split}, weight={self.weight})"
 
 
 def _unit(n, i, c):
@@ -216,13 +225,16 @@ class PolyRing:
 
     # -- elimination support ---------------------------------------------
 
-    def extended(self, n_aux):
+    def extended(self, n_aux, weight=None):
         """Ring with ``n_aux`` dominant auxiliary variables appended.
 
         Its block order eliminates them: on this ring
         :func:`~fclosure.ideals.groebner_basis` returns the reduced basis of
         the elimination ideal (the aux-free elements of the full reduced
-        basis) and nothing else.
+        basis) and nothing else.  A ``weight`` puts the row (weight, ...,
+        weight, 1, ..., 1) in front of the block order (see
+        :class:`BlockOrder`); it eliminates only on ideals homogeneous for
+        those degrees.
 
         Built without re-validating: the modulus was checked when this ring
         was, and the auxiliary names are valid and new."""
@@ -237,7 +249,7 @@ class PolyRing:
         big._init(
             self.p,
             self.variables + tuple(aux),
-            BlockOrder(self.order, len(self.variables)),
+            BlockOrder(self.order, len(self.variables), weight),
             self.config,
         )
         return big
@@ -250,8 +262,10 @@ class PolyRing:
     def project(self, f):
         """Drop auxiliary exponents of an aux-free polynomial of an extension.
 
-        The extension orders aux-free monomials by this ring's order, so the
-        result keeps ``f``'s sorted terms."""
+        The extension orders aux-free monomials of one degree by this ring's
+        order, and all of them so unless it is weighted; the result keeps
+        ``f``'s sorted terms, so ``f`` must be homogeneous on a weighted
+        extension."""
         n = len(self.variables)
         terms = []
         for exps, c in f.terms_sorted():

@@ -16,7 +16,7 @@ import copy
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import BudgetExceededError, InternalError, RingMismatchError, UnstabilizedError
 from .ideals import (
@@ -130,12 +130,13 @@ class SequenceSpec:
 
 def is_system_of_parameters(x):
     """True iff the sequence has length dim R and generates an ideal primary
-    to the irrelevant maximal ideal (every variable lies in its radical)."""
+    to the irrelevant maximal ideal: a proper ideal with every variable in
+    its radical (every variable lies in the radical of the unit ideal)."""
     R = x.R
     if x.length != R.dimension:
         return False
     I = x.partial_ideal(range(1, x.length + 1))
-    return all(radical_member(v, I) for v in R.ring.gens())
+    return all(radical_member(v, I) for v in R.ring.gens()) and not I.is_unit()
 
 
 def is_subsystem_of_parameters(x):
@@ -189,17 +190,14 @@ def is_d_sequence(x):
     return violation is None, violation
 
 
-@dataclass
-class UsdVerdict:
+class UsdVerdict(namedtuple("UsdVerdict", "passed n_max witness", defaults=(None,))):
     """Outcome of the bounded unconditioned-strong-d-sequence check.
 
     A pass certifies the box [1, n_max]^l and all permutations only; it is
-    never a proof of the unbounded property.
+    never a proof of the unbounded property.  ``witness`` is None or a dict.
     """
 
-    passed: bool
-    n_max: int
-    witness: dict | None = None
+    __slots__ = ()
 
 
 @memo_scope
@@ -340,21 +338,17 @@ def _subset_sum(x, subsets, unmixed):
 # identity suite
 
 
-@dataclass
-class CheckRecord:
-    identity: str
-    params: dict
-    passed: bool
-    detail: str = ""
+CheckRecord = namedtuple("CheckRecord", "identity params passed detail", defaults=("",))
 
 
-@dataclass
-class SuiteReport:
-    sequence: str
-    n_max: int
-    hypothesis_verified: bool
-    identities: tuple
-    checks: list = field(default_factory=list)
+class SuiteReport(
+    namedtuple("SuiteReport", "sequence n_max hypothesis_verified identities checks")
+):
+    __slots__ = ()
+
+    def __new__(cls, sequence, n_max, hypothesis_verified, identities, checks=None):
+        checks = [] if checks is None else checks
+        return super().__new__(cls, sequence, n_max, hypothesis_verified, identities, checks)
 
     @property
     def all_passed(self):

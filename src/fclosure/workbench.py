@@ -14,7 +14,7 @@ import itertools
 import json
 import random
 import warnings
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import (
     BudgetExceededError,
@@ -147,15 +147,17 @@ def resolve_ring(name_or_path, p=None, config=None):
 # sampling
 
 
-@dataclass(frozen=True)
-class SurveyConfig:
-    sample_count: int = 50
-    seed: int = 0
-    max_degree: int = 1
-    lengths: object = "all"  # subsystem lengths to draw, or "all" for 1..dim
-    e_max: int = 4
-    lookahead: int = 2
-    n_max: int = 3
+class SurveyConfig(
+    namedtuple(
+        "SurveyConfig",
+        "sample_count seed max_degree lengths e_max lookahead n_max",
+        defaults=(50, 0, 1, "all", 4, 2, 3),
+    )
+):
+    """Survey settings; ``lengths`` are the subsystem lengths to draw, or
+    "all" for 1..dim."""
+
+    __slots__ = ()
 
     def resolved_lengths(self, t):
         if self.lengths == "all":
@@ -170,11 +172,8 @@ class SurveyConfig:
         return tuple(self.lengths)
 
 
-@dataclass
-class SampleBatch:
-    sequences: list
-    attempts: int
-    rejected: int
+class SampleBatch(namedtuple("SampleBatch", "sequences attempts rejected")):
+    __slots__ = ()
 
     def stats(self):
         return {"attempts": self.attempts, "rejected": self.rejected,
@@ -256,15 +255,15 @@ def sample_parameter_ideals(R, cfg):
 # uniform-Q survey
 
 
-@dataclass
-class QReport:
+class QReport(namedtuple("QReport", "ring survey sampler records aggregate")):
     """Per-ideal closure/Q records plus aggregate statistics."""
 
-    ring: str
-    survey: dict
-    sampler: dict
-    records: list = field(default_factory=list)
-    aggregate: dict = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, ring, survey, sampler, records=None, aggregate=None):
+        records = [] if records is None else records
+        aggregate = {} if aggregate is None else aggregate
+        return super().__new__(cls, ring, survey, sampler, records, aggregate)
 
     @property
     def all_stabilized(self):
@@ -324,7 +323,7 @@ def survey_uniform_q(R, cfg):
             record["cause"] = str(exc)
             failures += 1
         records.append(record)
-    report = QReport(
+    return QReport(
         ring=repr(R),
         survey={
             "sample_count": cfg.sample_count,
@@ -336,14 +335,13 @@ def survey_uniform_q(R, cfg):
         },
         sampler=batch.stats(),
         records=records,
+        aggregate={
+            "max_q": max_q,
+            "histogram": histogram,
+            "indeterminate": failures,
+            "certified": sum(1 for r in records if r.get("status") == "ok"),
+        },
     )
-    report.aggregate = {
-        "max_q": max_q,
-        "histogram": histogram,
-        "indeterminate": failures,
-        "certified": sum(1 for r in records if r.get("status") == "ok"),
-    }
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from fclosure import frobenius
+from fclosure import frobenius, ideals
 from fclosure.config import EngineConfig
 from fclosure.errors import BudgetExceededError, QExponentNotFoundError, RingMismatchError
 from fclosure.frobenius import (
@@ -29,7 +29,7 @@ from fclosure.ideals import (
     krull_dimension,
     memo_scope,
 )
-from fclosure.polyring import PolyRing
+from fclosure.polyring import BlockOrder, PolyRing
 from fclosure.sequences import limit_ideal
 from fclosure.workbench import SurveyConfig, builtin_ring, sample_parameter_ideals, survey_uniform_q
 
@@ -81,20 +81,32 @@ def test_degree_budget_bounds_frobenius_powers():
     assert res.stabilized
 
 
-def test_module_engine_checks_its_basis_budget_before_entering(monkeypatch):
-    # the preimage step of (x, y) on FERMAT3 at p = 5 builds 5^3 vectors per
-    # basis element, past a basis budget of 100: it must raise before the
-    # module engine enters any of them
-    R = builtin_ring("FERMAT3", config=EngineConfig(max_basis_size=100))
+def test_preimage_step_checks_the_pair_budget(monkeypatch):
+    # (x + y^2, y^3) is inhomogeneous, so its step at e = 1 eliminates by
+    # the unweighted block order; the ring's pair budget bounds the basis
+    # of the root fast path (500) and that of the elimination ring (1000),
+    # which inherits it.  The innermost basis that raises records its ring.
+    raised = []
+    computed = ideals.groebner_basis
 
-    def entered(vectors, ring):
-        pytest.fail(f"the module engine was entered with {len(vectors)} vectors")
+    def recorded(ideal):
+        try:
+            return computed(ideal)
+        except BudgetExceededError:
+            raised.append(ideal.ring)
+            raise
 
-    monkeypatch.setattr(frobenius, "_module_intersection_component", entered)
-    with pytest.raises(BudgetExceededError) as err:
-        frobenius_closure(R.preimage(R.ring.gens()[:2]), R, e_max=2)
-    assert err.value.kind == "basis"
-    assert str(err.value) == "module basis budget 100 exceeded"
+    monkeypatch.setattr(ideals, "groebner_basis", recorded)
+    monkeypatch.setattr(frobenius, "groebner_basis", recorded)
+    for budget, where in ((500, lambda ring: ring), (1000, lambda ring: ring.extended(3))):
+        R = builtin_ring("FERMAT3", config=EngineConfig(max_pairs=budget))
+        a = R.preimage([R.ring.parse("x + y^2"), R.ring.parse("y^3")])
+        raised.clear()
+        with pytest.raises(BudgetExceededError) as err:
+            frobenius_closure(a, R, e_max=2)
+        assert err.value.kind == "pairs"
+        assert str(err.value) == f"Groebner pair budget {budget} exceeded"
+        assert raised[0] == where(R.ring)
 
 
 def test_frobenius_root_examples():
@@ -156,6 +168,35 @@ def test_preimage_is_inside_root():
     for _ in range(10):
         I = random_ideal(rng, ring, max_gens=2, max_degree=3)
         assert ideal_contains(frobenius_root(I, 1), frobenius_preimage(I, 1))
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_homogeneous_steps_take_weight_p(monkeypatch, order):
+    # the homogeneous ideals leave the root fast path and eliminate by the
+    # order weighted with p; the inhomogeneous ones, whose big ideal that
+    # weight does not grade, by the block order alone
+    weights = []
+    computed = frobenius.groebner_basis
+
+    def recorded(ideal):
+        if isinstance(ideal.ring.order, BlockOrder):
+            weights.append(ideal.ring.order.weight)
+        return computed(ideal)
+
+    monkeypatch.setattr(frobenius, "groebner_basis", recorded)
+    for p in (2, 3):
+        ring = PolyRing(p, ["x", "y", "z"], order=order)
+        for texts, weight in (
+            (("x^3 + y^3 + z^3; x^4", "x*y + z^2; y^3"), p),
+            (("x^3 + y^2 + z; x^4", "x*y + z; y^3 + x"), None),
+        ):
+            for text in texts:
+                weights.clear()
+                I = ideal_from_text(text, ring)
+                main = frobenius_preimage(I, 1)
+                assert weights == [weight], text
+                bound = max([g.total_degree() for g in main.basis()] + [2]) + 1
+                assert ideal_equal(main, kernel_preimage_oracle(I, 1, bound))
 
 
 def _counted_steps(monkeypatch):
@@ -501,11 +542,10 @@ def test_certified_closure_is_the_lookahead_verdict(name, p):
 
 
 def test_certified_closure_matches_the_kernel_oracle_at_p5():
-    # at p = 5 the preimage engine runs out of its module basis budget at
-    # e = 2 on (x, y) and on most other sops, so the stages beyond eta are
-    # read from the linear-algebra oracle: its part of degree <= 2, plus
-    # m^2 inside the closure, decides F_e = F_eta.  The oracle needs 5 s
-    # for e = eta + 2 on a sampled sop, so those stop at eta + 1.
+    # the stages beyond eta are read from the linear-algebra oracle, which
+    # checks the certificate without the preimage step: its part of degree
+    # <= 2, plus m^2 inside the closure, decides F_e = F_eta.  The oracle
+    # needs 5 s for e = eta + 2 on a sampled sop, so those stop at eta + 1.
     F = builtin_ring("FERMAT3", p=5)
     eta = hsl_number(F, 5)
     coordinate, sampled = _linear_sops(F, seed=2, count=2)
@@ -518,30 +558,53 @@ def test_certified_closure_matches_the_kernel_oracle_at_p5():
             assert ideal_equal(kernel_preimage_oracle(_stage(a, F, e), e, 2), res.closure)
 
 
+# partial sops of FERMAT3 with their closures: (x) at p = 5 and 11, and
+# four of the five of length 1 that sample_parameter_ideals draws at p = 5
+# with SurveyConfig(sample_count=10, seed=0)
+FERMAT3_PARTIAL_SOPS = [
+    (5, "x", "y^3 + z^3; x"),
+    (11, "x", "y^3 + z^3; x"),
+    (5, "3*x + 4*y + 2*z", "y^3 + 3*y^2*z + 4*y*z^2 + 3*z^3; x + 3*y + 4*z"),
+    (5, "3*x + 2*y + 3*z", "y^3 + y^2*z + 4*y*z^2; x + 4*y + z"),
+    (5, "x + 4*y + 2*z", "y^3 + 2*y^2*z + y*z^2 + 4*z^3; x + 4*y + 2*z"),
+    (5, "2*x + y + 4*z", "y^3 + 4*y^2*z + y*z^2 + 2*z^3; x + 3*y + 2*z"),
+]
+
+
 def test_partial_sop_closure_matches_the_kernel_oracle():
-    # (x) is a partial sop of FERMAT3, so its chain runs the lookahead
-    # window through e = 2; every stage is homogeneous, and its preimage
-    # steps leave the root fast path
-    F = builtin_ring("FERMAT3", p=5)
-    a = F.preimage([F.ring.parse("x")])
-    res = frobenius_closure(a, F, e_max=2)
-    assert res.e_star == 0 and len(res.chain) == 3
-    assert str(res.closure) == "y^3 + z^3; x"
-    for e, stage in enumerate(res.chain):
-        assert ideal_equal(kernel_preimage_oracle(_stage(a, F, e), e, 3), stage)
+    # a partial sop of FERMAT3 runs the lookahead window, here through
+    # e = 2 with e* = 0; every stage is homogeneous, and its preimage steps
+    # leave the root fast path
+    for p, text, closure in FERMAT3_PARTIAL_SOPS:
+        F = builtin_ring("FERMAT3", p=p)
+        a = F.preimage([F.ring.parse(text)])
+        res = frobenius_closure(a, F, e_max=3)
+        assert res.stabilized and res.e_star == 0 and len(res.chain) == 3, text
+        assert str(res.closure) == closure
+        for e, stage in enumerate(res.chain):
+            assert ideal_equal(kernel_preimage_oracle(_stage(a, F, e), e, 3), stage)
 
 
-# four of the six sops that sample_parameter_ideals draws on FERMAT3 at
-# p = 2 with SurveyConfig(sample_count=6, seed=3, max_degree=2, lengths=(2,)),
-# each with its closure at e_max = 2.  They are inhomogeneous, so each chain
-# runs the lookahead window through the preimages at e = 1 and 2; an
-# elimination at q = p^e exceeds its pair budget at e = 2 on such sops.  The
-# other two sops of that draw take 30 s or more each and are left out.
+# the six sops that sample_parameter_ideals draws on FERMAT3 at p = 2 with
+# SurveyConfig(sample_count=6, seed=3, max_degree=2, lengths=(2,)), each with
+# its closure at e_max = 2.  They are inhomogeneous, so each chain runs the
+# lookahead window through the preimages at e = 1 and 2; an elimination at
+# q = p^e exceeds its pair budget at e = 2 on such sops.
 FERMAT3_P2_SOPS = {
     "x*y + y^2; x*y + x + y": "x*z^2 + y*z^2; z^3; x^2 + x + y; x*y + x + y; y^2 + x + y",
     "x^2 + y*z + z^2 + z; x^2 + x*z + y*z + z": "y^3; y^2*z; x^2 + y*z + z; x*z; z^2",
     "x^2 + x*y + y^2 + z^2 + z; x^2 + x*y + y^2 + z^2 + x + y + z": "y*z^2; z^3; y^2 + z^2 + z; x + y",
     "x^2 + y*z + z^2 + x + y; y*z + z^2 + x": "z^2; x; y",
+    "x^2 + y^2 + x*z + y*z + z^2 + x + y + z; x*y + x*z + y*z + z^2": (
+        "y^2*z^2 + y^2*z + y*z^2 + x*z + y*z + x + y + z; y^3 + y^2 + y*z + z^2 + x + y + z; "
+        "z^3 + z^2 + x + y + z; x^2 + y^2 + x*z + y*z + z^2 + x + y + z; x*y + x*z + y*z + z^2"
+    ),
+    "x*y + y^2 + x*z + y*z; x^2 + y*z + x + y + z": (
+        "x*z^3 + x*z^2 + y*z^2 + y^2 + x*z + x + y + z; y*z^3 + x*z^2 + y*z^2 + z^3; "
+        "z^4 + x*z^2 + y*z^2 + z^3; y^3 + y*z^2 + y*z + z^2; "
+        "y^2*z + x*z^2 + z^3 + y^2 + y*z + z^2 + x + y + z; x^2 + y*z + x + y + z; "
+        "x*y + y^2 + x*z + y*z"
+    ),
 }
 
 

@@ -90,6 +90,15 @@ def test_sop_examples(TW, REG):
     assert not is_subsystem_of_parameters(longer)
 
 
+def test_a_unit_ideal_is_no_system_of_parameters(REG):
+    # (x + 1, x, y) generates the unit ideal, so no ideal primary to m,
+    # although every variable lies in the radical of (1)
+    unit = SequenceSpec(REG, [REG.ring.parse(t) for t in ("x + 1", "x", "y")])
+    assert unit.partial_ideal(range(1, 4)).is_unit()
+    assert not is_system_of_parameters(unit)
+    assert not is_subsystem_of_parameters(SequenceSpec(REG, unit.elements[:2]))
+
+
 def test_d_sequence_examples(TW, REG, XY):
     ok, violation = is_d_sequence(SequenceSpec(REG, list(REG.ring.gens())))
     assert ok and violation is None
