@@ -44,6 +44,7 @@ import functools
 import warnings
 from heapq import heapify, heappop, heappush
 from itertools import combinations
+from math import prod
 from operator import add, mul, or_
 
 from .errors import BudgetExceededError, ColonByZeroWarning, InternalError, RingMismatchError
@@ -844,14 +845,56 @@ def krull_dimension(I):
 
 
 def radical_member(f, I):
-    """True iff f lies in the radical of I (auxiliary-variable trick)."""
+    """True iff f lies in the radical of I.
+
+    The first step is the reduced basis of I.  A unit basis answers True.
+    When in(I) holds a pure power x_i^a_i of every variable, I is
+    zero-dimensional and S/I has length at most N = a_1 * ... * a_n (its
+    standard monomials lie in that box).  The nilradical of an Artinian
+    ring of length N has N-th power zero (Atiyah-Macdonald, ch. 8), so f is
+    in the radical iff f^N lies in I: :func:`_power_in` squares f modulo I
+    until the exponent reaches N.  Any other ideal takes the
+    auxiliary-variable trick: f is in the radical iff I + (1 - t*f) is the
+    unit ideal of S[t] (Rabinowitsch).  On an elimination ring the basis is
+    that of the elimination ideal, which holds no power of an auxiliary
+    variable, so such a ring takes the second route."""
     if f.ring != I.ring:
         raise RingMismatchError("polynomial and ideal live in different rings")
     ring = I.ring
     if f.is_zero():
         return True
+    box = [0] * len(ring.variables)
+    for g in groebner_basis(I):
+        lm = g.leading_monomial()
+        support = [i for i, e in enumerate(lm) if e]
+        if not support:
+            return True  # unit ideal
+        if len(support) == 1:
+            box[support[0]] = lm[support[0]]
+    if all(box):
+        return _power_in(f, I, prod(box))
     big = ring.extended(1)
     t = big.var(big.variables[-1])
     gens = [ring.lift(g, big) for g in I.gens]
     gens.append(big.one - t * ring.lift(f, big))
     return Ideal(big, gens).is_unit()
+
+
+def _power_in(f, I, N):
+    """True iff f^N lies in I, for an ``N`` such that f^N lies in I as
+    soon as any power of f does.  So f^(2^k) for the least 2^k >= N
+    decides it too: f is squared k times, each square reduced modulo I,
+    stopping early at zero.  Each square is checked against the degree
+    budget before it is built."""
+    budget = I.ring.config.max_poly_degree
+    r = normal_form(f, I)
+    power = 1
+    while power < N and not r.is_zero():
+        if 2 * r.total_degree() > budget:
+            raise BudgetExceededError(
+                f"radical test power {2 * power} exceeded the degree budget {budget}",
+                kind="degree",
+            )
+        r = normal_form(r * r, I)
+        power *= 2
+    return r.is_zero()

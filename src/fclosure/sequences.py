@@ -130,13 +130,17 @@ class SequenceSpec:
 
 def is_system_of_parameters(x):
     """True iff the sequence has length dim R and generates an ideal primary
-    to the irrelevant maximal ideal: a proper ideal with every variable in
-    its radical (every variable lies in the radical of the unit ideal)."""
+    to the irrelevant maximal ideal: a zero-dimensional ideal with every
+    variable in its radical.  The dimension is read off the reduced basis
+    of a + J, which rejects the unit ideal and every ideal of positive
+    dimension before any radical test; each radical test then runs on a
+    zero-dimensional ideal, so :func:`~fclosure.ideals.radical_member`
+    decides it by a power of the variable modulo that same basis."""
     R = x.R
     if x.length != R.dimension:
         return False
     I = x.partial_ideal(range(1, x.length + 1))
-    return all(radical_member(v, I) for v in R.ring.gens()) and not I.is_unit()
+    return krull_dimension(I) == 0 and all(radical_member(v, I) for v in R.ring.gens())
 
 
 def is_subsystem_of_parameters(x):

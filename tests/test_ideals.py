@@ -35,7 +35,14 @@ from fclosure.frobenius import QuotientRing, frobenius_power, frobenius_preimage
 from fclosure.polyring import PolyRing
 from fclosure.sequences import SequenceSpec
 
-from helpers import linear_membership_oracle, random_ideal, random_nonzero_poly, remainder, s_polynomial
+from helpers import (
+    linear_membership_oracle,
+    random_ideal,
+    random_nonzero_poly,
+    random_poly,
+    remainder,
+    s_polynomial,
+)
 
 
 @pytest.fixture
@@ -783,6 +790,88 @@ def test_radical_member_examples(R5, R4):
     I = ideal_sum(twoplanes_ideal(R4), ideal_from_text("(x+z)^2; (y+w)^2", R4))
     assert radical_member(R4.parse("x + z"), I)
     assert radical_member(R5.zero, ideal_from_text("x", R5))
+
+
+def _rabinowitsch(f, I):
+    """f in rad(I) by the auxiliary-variable trick: I + (1 - t*f) = (1)."""
+    big = I.ring.extended(1)
+    t = big.var(big.variables[-1])
+    gens = [I.ring.lift(g, big) for g in I.gens]
+    return Ideal(big, gens + [big.one - t * I.ring.lift(f, big)]).is_unit()
+
+
+def _zero_dimensional_cases(ring, rng):
+    """Seeded zero-dimensional ideals of the three-variable ``ring``, each
+    with polynomials to test against it."""
+    x, y, z = ring.gens()
+    cases = []
+    for _ in range(6):
+        # homogeneous and m-primary: a pure power of every variable plus
+        # random forms
+        gens = [v ** rng.randint(2, 4) for v in (x, y, z)]
+        gens += [random_nonzero_poly(rng, ring, max_degree=2, homogeneous=True) for _ in range(2)]
+        cases.append(Ideal(ring, gens))
+    for _ in range(4):
+        # inhomogeneous, with a component at x = c away from the origin
+        c = rng.randrange(1, ring.p)
+        a, b = rng.randint(2, 3), rng.randint(2, 3)
+        cases.append(Ideal(ring, [x**2 - c * x, y**a + x * y, z**b - x * z]))
+    cases.append(ideal_from_text("x^2 - x; y^3; z", ring))
+    cases.append(ideal_from_text("x^3; y; z", ring))
+    cases.append(ideal_from_text("x; x - 1; y", ring))  # the unit ideal
+    out = []
+    for I in cases:
+        fs = [random_poly(rng, ring, max_degree=3) for _ in range(6)]
+        fs += [x, y, z, x**2 - x, x * y + z]
+        out.append((I, fs))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_radical_member_of_zero_dimensional_ideals_matches_rabinowitsch(p, monkeypatch):
+    # a zero-dimensional ideal is decided by a power of f modulo its basis,
+    # with no elimination ring; the answer is the Rabinowitsch one
+    ring = PolyRing(p, "xyz")
+    rng = random.Random(4000 + p)
+    cases = _zero_dimensional_cases(ring, rng)
+    extended = PolyRing.extended
+    answers = []
+    for I, fs in cases:
+        assert krull_dimension(I) in (0, -1)
+        expected = [_rabinowitsch(f, I) for f in fs]
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(PolyRing, "extended", lambda *a, **k: calls.append(a) or extended(*a, **k))
+            got = [radical_member(f, I) for f in fs]
+        assert calls == []
+        assert got == expected, str(I)
+        answers += got
+    assert True in answers and False in answers
+    x = ring.var("x")
+    assert not radical_member(x, ideal_from_text("x^2 - x; y^3; z", ring))
+    assert all(radical_member(f, unit_ideal(ring)) for f in (x, ring.one))
+    # the nilpotency index of x modulo (x^3, y, z) is the length 3 itself:
+    # an exponent one below it, 2, would answer x wrongly
+    I = ideal_from_text("x^3; y; z", ring)
+    assert radical_member(x, I) and not ideal_member(x**2, I)
+
+
+def test_radical_power_checks_the_degree_budget():
+    # modulo (x^6, y^6) at p = 11 the powers of x + y have degrees 2, 4, 8;
+    # squaring the degree-8 one would build degree 16 above the budget 12,
+    # so the test raises before the product instead of reducing it
+    for budget, outcome in ((60_000, True), (16, True), (12, None)):
+        ring = PolyRing(11, "xy", config=EngineConfig(max_poly_degree=budget))
+        I = ideal_from_text("x^6; y^6", ring)
+        f = ring.parse("x + y")
+        if outcome is not None:
+            assert radical_member(f, I) is outcome
+            continue
+        assert len(groebner_basis(I)) == 2
+        with pytest.raises(BudgetExceededError) as err:
+            radical_member(f, I)
+        assert err.value.kind == "degree"
+        assert "power 16" in str(err.value)
 
 
 def test_budget_is_reported():

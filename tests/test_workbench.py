@@ -172,6 +172,34 @@ def test_sampler_deterministic_and_filtered():
             assert is_subsystem_of_parameters(seq)
 
 
+def test_sop_test_of_the_sampler_builds_no_elimination_ring(monkeypatch):
+    # the sop test reads the dimension off the basis of a + J and decides
+    # each radical test on a zero-dimensional ideal by a power, so a batch
+    # of full-length samples builds no extended ring; the batch is the one
+    # the Rabinowitsch test per variable drew
+    TW = builtin_ring("TWOPLANES")
+    calls = []
+    extended = PolyRing.extended
+    monkeypatch.setattr(PolyRing, "extended", lambda *a, **k: calls.append(a) or extended(*a, **k))
+    batch = sample_parameter_ideals(TW, SurveyConfig(sample_count=12, seed=99, lengths=(2,)))
+    assert calls == []
+    assert batch.stats() == {"attempts": 123, "rejected": 111, "accepted": 12}
+    assert [[str(f) for f in s.elements] for s in batch.sequences] == [
+        ["y + z", "x + w"],
+        ["x + y + w", "x + z + w"],
+        ["x + z + w", "y + w"],
+        ["x + z", "y + w"],
+        ["x + y + w", "x + z + w"],
+        ["x + y + z", "x + z + w"],
+        ["y + w", "x + z + w"],
+        ["x + y + z", "x + z + w"],
+        ["x + y + z + w", "y + w"],
+        ["x + y + w", "y + z + w"],
+        ["x + w", "x + y + z + w"],
+        ["x + y + z", "x + w"],
+    ]
+
+
 def test_sampler_regular_full_length():
     REG = builtin_ring("REG", p=5)
     cfg = SurveyConfig(sample_count=5, seed=1, lengths=(3,))
