@@ -2,9 +2,11 @@
 colon, intersection, saturation, Krull dimension and radical membership.
 
 Everything is deterministic: an ideal keeps its generators in the order it
-is given them, the pair queue uses the normal strategy (smallest lcm in the
-ring order), and ties break by input position.  A reduced basis does not
-depend on that order.  Budgets come from the ring's
+is given them, Buchberger reduces each on entry against those before it
+(dropping any that reduce to zero, and leaving the settled runs of an
+intersection as they are), the pair queue uses the normal strategy
+(smallest lcm in the ring order), and ties break by input position.  A
+reduced basis does not depend on that order.  Budgets come from the ring's
 :class:`~fclosure.config.EngineConfig`.
 
 Inside one call of an entry point marked :func:`memo_scope`, reduced bases,
@@ -364,9 +366,11 @@ def groebner_basis(ideal):
 
     Buchberger with the coprime-leading-term and chain criteria, normal
     pair-selection strategy (smallest lcm in the ring order, then input
-    position).  On the big-ring ideal of :func:`intersect` it also forms
-    no S-pair inside the two runs of generators built from the reduced
-    bases of I and K (the block rule; see :func:`_eliminate_intersection`).
+    position); each generator enters reduced, and a redundant one forms
+    no pairs (see :func:`_buchberger`).  On the big-ring ideal of
+    :func:`intersect` it also forms no S-pair inside the two runs of
+    generators built from the reduced bases of I and K (the block rule; see
+    :func:`_eliminate_intersection`), whose generators enter as they are.
     Every term of an S-polynomial, like every term a reduction creates, is
     checked against the degree budget.
     """
@@ -383,10 +387,17 @@ def _buchberger(ideal):
     unpacked on return; every element enters the working basis monic, so
     no reduction divides by a leading coefficient.
 
+    Each generator is fully reduced against the working basis before it
+    enters, and one that reduces to zero is dropped, so a repeat or a
+    multiple of one before it forms no pairs.  They are taken in the order
+    given: sorted by leading monomial, one inhomogeneous preimage
+    elimination of the tests forms many more pairs.
+
     No pair inside one of the runs that ``ideal._settled`` records is
     formed: each run is a Groebner basis, so its S-pairs already have
     standard representations, and the chain criterion counts them as
-    treated, as it counts coprime pairs."""
+    treated, as it counts coprime pairs.  Those generators enter as they
+    are, since the runs are read by position."""
     ring = ideal.ring
     config = ring.config
     p = ring.p
@@ -423,8 +434,14 @@ def _buchberger(ideal):
         exps.append(packing.unpack(f[0][0]))
         push_pairs(len(G) - 1)
 
-    for f in ideal.gens:
-        enter(_pack(f, packing))
+    # a generator outside the settled runs enters reduced, or not at all
+    for k, f in enumerate(ideal.gens):
+        f = _pack(f, packing)
+        if k >= len(run_start):
+            f = _reduce_full(f, heads, packing)
+            if not f:
+                continue
+        enter(f)
 
     processed = 0
     while heap:

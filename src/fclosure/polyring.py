@@ -411,6 +411,8 @@ class Polynomial:
             raise BudgetExceededError(
                 f"power {n} exceeded the degree budget {ring.config.max_poly_degree}", kind="degree"
             )
+        if n == 1:
+            return self  # polynomials are immutable
         # split n in base p: over F_p the p**e-th powers are termwise
         p = ring.p
         result = ring.one

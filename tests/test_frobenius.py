@@ -84,8 +84,10 @@ def test_degree_budget_bounds_frobenius_powers():
 def test_preimage_step_checks_the_pair_budget(monkeypatch):
     # (x + y^2, y^3) is inhomogeneous, so its step at e = 1 eliminates by
     # the unweighted block order; the ring's pair budget bounds the basis
-    # of the root fast path (500) and that of the elimination ring (1000),
+    # of the root fast path (200) and that of the elimination ring (1000),
     # which inherits it.  The innermost basis that raises records its ring.
+    # Generators enter Buchberger reduced, so the root basis needs about 230
+    # pairs: 200 stays below it, and 1000 above it but below the elimination's.
     raised = []
     computed = ideals.groebner_basis
 
@@ -98,7 +100,7 @@ def test_preimage_step_checks_the_pair_budget(monkeypatch):
 
     monkeypatch.setattr(ideals, "groebner_basis", recorded)
     monkeypatch.setattr(frobenius, "groebner_basis", recorded)
-    for budget, where in ((500, lambda ring: ring), (1000, lambda ring: ring.extended(3))):
+    for budget, where in ((200, lambda ring: ring), (1000, lambda ring: ring.extended(3))):
         R = builtin_ring("FERMAT3", config=EngineConfig(max_pairs=budget))
         a = R.preimage([R.ring.parse("x + y^2"), R.ring.parse("y^3")])
         raised.clear()
@@ -477,7 +479,15 @@ def test_fermat3_closure_golden():
 
 @pytest.mark.parametrize(
     "name, p, eta",
-    [("FERMAT3", 2, 1), ("FERMAT3", 5, 1), ("FERMAT3", 11, 1), ("NILLINE", 2, 1), ("REG", 5, 0)],
+    [
+        ("FERMAT3", 2, 1),
+        ("FERMAT3", 5, 1),
+        ("FERMAT3", 11, 1),
+        ("FERMAT3", 17, 1),
+        ("FERMAT3", 23, 1),
+        ("NILLINE", 2, 1),
+        ("REG", 5, 0),
+    ],
 )
 def test_hsl_number_of_the_hypersurfaces(name, p, eta):
     R = builtin_ring(name, p=p)
@@ -486,6 +496,14 @@ def test_hsl_number_of_the_hypersurfaces(name, p, eta):
     # the chain of B_e needs e = eta + 1 to see that it settled at eta
     if eta:
         assert hsl_number(R, eta - 1) is None
+
+
+def test_hsl_number_fits_a_small_pair_budget():
+    # the root I_1(u*B_1) on FERMAT3 at p = 5 has 45 generators whose
+    # reduced basis is (x, y, z); each enters Buchberger reduced against
+    # those before it, so the redundant ones form no pairs and 20 suffice
+    R = builtin_ring("FERMAT3", config=EngineConfig(max_pairs=20))
+    assert hsl_number(R, 4) == 1
 
 
 def test_hsl_number_needs_a_homogeneous_hypersurface():

@@ -180,6 +180,17 @@ def test_pow_paths_agree():
     assert (ring.zero) ** 0 == ring.one
 
 
+def test_first_power_is_the_polynomial_itself():
+    # f**1 builds no product, but its degree is still checked first
+    small = PolyRing(5, ["x", "y"], config=EngineConfig(max_poly_degree=6))
+    f = small.parse("x^2*y + 3*y")
+    assert f**1 is f
+    too_big = small.monomial((7, 0)) + small.monomial((0, 1))
+    with pytest.raises(BudgetExceededError, match="power 1 exceeded the degree budget 6") as err:
+        too_big**1
+    assert err.value.kind == "degree"
+
+
 def test_exponent_overflow_guard():
     ring = PolyRing(2, ["x"])
     f = ring.parse("x^1000")

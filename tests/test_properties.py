@@ -7,9 +7,10 @@ nested ideals is the smaller one without an elimination, a colon carries its
 reduced basis, membership does not depend on the monomial order, exact
 division inverts multiplication, packed monomials keep the order, the
 product and divisibility, generators are kept in the order given, a
-returned basis carries its certificate and does not depend on the generator
-order, presorted terms are sorted, Frobenius preimage generators satisfy
-their certificate, and the closure chain ascends to Q(a) = p^{e*}.
+returned basis carries its certificate and depends neither on the generator
+order nor on redundant generators, presorted terms are sorted, Frobenius
+preimage generators satisfy their certificate, and the closure chain
+ascends to Q(a) = p^{e*}.
 Derandomized, so every run draws the same examples."""
 
 from itertools import permutations, product
@@ -365,6 +366,53 @@ def test_basis_carries_its_certificate_in_every_generator_order(ring, gen_terms)
         assert all(remainder(g, basis).is_zero() for g in gens)
     for order in permutations(gens):
         assert Ideal(ring, order).basis() == basis
+
+
+PAD_RINGS = (*ORDER_RINGS, RINGS[5, "grevlex"], RINGS[5, "lex"])
+# one padding generator: a duplicate, a nonzero scalar multiple, or the
+# combination m*g_i + c*g_j, of generators drawn by index, and the position
+# it takes after the last of them, all read modulo what is in range
+PAD = st.tuples(
+    st.sampled_from(("duplicate", "multiple", "combination")),
+    st.integers(0, 7), st.integers(0, 7), EXPS4, st.integers(1, 4), st.integers(0, 7),
+)
+
+
+@CASES
+@given(
+    st.sampled_from(PAD_RINGS),
+    st.lists(GEN_TERMS, min_size=1, max_size=3),
+    st.lists(PAD, min_size=1, max_size=4),
+)
+@example(
+    RINGS[5, "lex"],
+    [[((1, 0, 0, 0), 1), ((0, 2, 0, 0), 1)], [((0, 1, 1, 0), 1), ((0, 0, 0, 0), 1)]],
+    [("combination", 0, 1, (0, 1, 0, 0), 3, 0), ("multiple", 1, 0, (0, 0, 0, 0), 4, 1)],
+)
+def test_basis_ignores_redundant_generators(ring, gen_terms, pads):
+    # generators enter Buchberger reduced against the basis so far, and one
+    # that reduces to zero is dropped; padding the generators (of mixed
+    # degrees, so inhomogeneous) with duplicates, scalar multiples and
+    # combinations of earlier generators leaves the reduced basis as it was,
+    # and every generator, dropped or not, lies in the ideal it generates
+    n, p = len(ring.variables), ring.p
+    gens = [g for g in _gens(ring, gen_terms) if not g.is_zero()]
+    if not gens:
+        return
+    padded = list(gens)
+    for kind, i, j, exps, c, at in pads:
+        i, j, c = i % len(padded), j % len(padded), c % (p - 1) + 1
+        if kind == "duplicate":
+            extra, last = padded[i], i
+        elif kind == "multiple":
+            extra, last = padded[i] * c, i
+        else:
+            extra, last = ring.monomial(exps[:n]) * padded[i] + padded[j] * c, max(i, j)
+        padded.insert(last + 1 + at % (len(padded) - last), extra)
+    basis = Ideal(ring, padded).basis()
+    assert basis == Ideal(ring, gens).basis()
+    if not isinstance(ring.order, BlockOrder):
+        assert all(remainder(g, basis).is_zero() for g in padded)
 
 
 @CASES
