@@ -160,7 +160,12 @@ def frobenius_root(I, e):
 # that ideal with F_p[x].  When I is homogeneous the big ideal is
 # homogeneous for deg x_i = p and deg t_i = 1, and the order compares those
 # degrees first: within one degree it still eliminates t, and it keeps the
-# Buchberger run degree by degree.
+# Buchberger run degree by degree.  The aux block is ordered by grevlex,
+# weighted or not, so on a grevlex ring the copies g(t) of the reduced
+# basis of I are a Groebner basis of the polynomials in t alone, and
+# Buchberger forms no pair among them (a settled run, as in an
+# intersection).  On a lex ring they need not be one, so every pair is
+# formed.
 
 
 def _preimage_step(I):
@@ -182,7 +187,10 @@ def _preimage_step(I):
 
 def _computed_step(I, basis):
     """{r : r**p in I} for an ideal I with the nonempty reduced basis
-    ``basis``, as an ideal with its reduced basis set."""
+    ``basis``, as an ideal with its reduced basis set: the root when every
+    root generator certifies, else the elimination of the comment above.
+    On a grevlex ring the copies g(t) of ``basis`` lead the big ideal as
+    one settled run, so none of their S-pairs is formed."""
     ring = I.ring
     p = ring.p
     # fast path: if every digit component of the basis certifies, the root
@@ -197,8 +205,13 @@ def _computed_step(I, basis):
     gens = [Polynomial(big, {(0,) * n + e: c for e, c in g._terms.items()}) for g in basis]
     for i in range(n):
         gens.append(big.poly({_unit(2 * n, i, 1): 1, _unit(2 * n, n + i, p): -1}))
+    big_ideal = Ideal(big, gens)
+    if ring.order.kind == "grevlex":
+        # on the t-block the big order is the ring's own, so the copies
+        # g(t) are a Groebner basis there
+        big_ideal._settled = (len(basis),)
     # the weight may order the projected basis otherwise than the ring does
-    projected = [ring.project(g) for g in groebner_basis(Ideal(big, gens))]
+    projected = [ring.project(g) for g in groebner_basis(big_ideal)]
     projected.sort(key=lambda g: ring.order.key(g.leading_monomial()), reverse=True)
     return _finished(ring, tuple(projected))
 

@@ -4,9 +4,9 @@ colon, intersection, saturation, Krull dimension and radical membership.
 Everything is deterministic: an ideal keeps its generators in the order it
 is given them, Buchberger reduces each on entry against those before it
 (dropping any that reduce to zero, and leaving the settled runs of an
-intersection as they are), the pair queue uses the normal strategy
-(smallest lcm in the ring order), and ties break by input position.  A
-reduced basis does not depend on that order.  Budgets come from the ring's
+intersection or a preimage step as they are), the pair queue uses the
+normal strategy (smallest lcm in the ring order), and ties break by input
+position.  A reduced basis does not depend on that order.  Budgets come from the ring's
 :class:`~fclosure.config.EngineConfig`.
 
 Inside one call of an entry point marked :func:`memo_scope`, reduced bases,
@@ -128,7 +128,7 @@ class Ideal:
         self._basis = None
         # lengths of leading runs of ``gens`` that are each a Groebner
         # basis, whose S-pairs Buchberger need not form (set only by
-        # _eliminate_intersection)
+        # _eliminate_intersection and the Frobenius preimage step)
         self._settled = ()
         # None, or a one-item list holding None or the (packing, heads) of
         # the reduced basis that _remainder packs; groebner_basis hands one
@@ -367,12 +367,15 @@ def groebner_basis(ideal):
     Buchberger with the coprime-leading-term and chain criteria, normal
     pair-selection strategy (smallest lcm in the ring order, then input
     position); each generator enters reduced, and a redundant one forms
-    no pairs (see :func:`_buchberger`).  On the big-ring ideal of
-    :func:`intersect` it also forms no S-pair inside the two runs of
-    generators built from the reduced bases of I and K (the block rule; see
-    :func:`_eliminate_intersection`), whose generators enter as they are.
-    Every term of an S-polynomial, like every term a reduction creates, is
-    checked against the degree budget.
+    no pairs (see :func:`_buchberger`).  It forms no S-pair inside a run of
+    generators that the ideal records as settled, a Groebner basis on its
+    own, whose generators enter as they are: the two runs built from the
+    reduced bases of I and K on the big-ring ideal of :func:`intersect`
+    (the block rule; see :func:`_eliminate_intersection`), and the copies
+    of a reduced basis in a Frobenius preimage step on a grevlex ring
+    (see :func:`fclosure.frobenius._computed_step`).  Every term of an
+    S-polynomial, like every term a reduction creates, is checked against
+    the degree budget.
     """
     if ideal._basis is None:
         ideal._basis, ideal._divisors = _reused(
@@ -397,7 +400,14 @@ def _buchberger(ideal):
     formed: each run is a Groebner basis, so its S-pairs already have
     standard representations, and the chain criterion counts them as
     treated, as it counts coprime pairs.  Those generators enter as they
-    are, since the runs are read by position."""
+    are, since the runs are read by position.
+
+    Beside each leading monomial the run keeps its support as a bit mask.
+    Leading monomials are coprime exactly when their masks are disjoint,
+    so such a pair is dropped on one AND, before its lcm is formed.  The
+    lcm of any other pair comes from the shared variables alone: packing
+    is linear, so X(lcm) = X(lm_i) + X(lm_j) - sum_v min(e_i[v], e_j[v])
+    * code_v over the bits of the AND of the two masks."""
     ring = ideal.ring
     config = ring.config
     p = ring.p
@@ -406,10 +416,13 @@ def _buchberger(ideal):
     packing = _packing_for(ring, ideal.gens)
     guard, dmask, dlimit = packing.guard, packing.dmask, packing.dlimit
 
+    codes = packing.codes
     G = []  # the working basis, packed and monic
     heads = []  # its heads, the divisors of every reduction
     lms = []  # its packed leading monomials
     exps = []  # and their exponents, for the lcms
+    sups = []  # and their supports, as bit masks of variables
+    variables = {}  # a support mask -> the indices of its bits
     pending = set()
     heap = []
     # the index at which each generator's settled run starts
@@ -418,20 +431,33 @@ def _buchberger(ideal):
         run_start += [len(run_start)] * n
 
     def push_pairs(j):
-        lj, ej = lms[j], exps[j]
+        lj, ej, sj = lms[j], exps[j], sups[j]
         for i in range(run_start[j] if j < len(run_start) else j):
-            lcm = packing.pack(map(max, exps[i], ej))
-            if lcm == lms[i] + lj:
+            shared = sups[i] & sj
+            if not shared:
                 continue  # coprime leading terms: s-poly reduces to zero
+            # X(lcm) = X(lm_i) + X(lm_j) - X(gcd), and the gcd lives on
+            # the shared variables alone
+            vs = variables.get(shared)
+            if vs is None:
+                vs = variables[shared] = [v for v in range(len(codes)) if shared >> v & 1]
+            ei = exps[i]
+            lcm = lms[i] + lj
+            for v in vs:
+                a, b = ei[v], ej[v]
+                lcm -= (a if a < b else b) * codes[v]
             pending.add((i, j))
             heappush(heap, (lcm, i, j))
 
     def enter(f):
         f = _monic(f, p)
+        lm = f[0][0]
         G.append(f)
-        heads.append((f[0][0], f[1:]))
-        lms.append(f[0][0])
-        exps.append(packing.unpack(f[0][0]))
+        heads.append((lm, f[1:]))
+        lms.append(lm)
+        e = packing.unpack(lm)
+        exps.append(e)
+        sups.append(sum(1 << v for v, a in enumerate(e) if a))
         push_pairs(len(G) - 1)
 
     # a generator outside the settled runs enters reduced, or not at all

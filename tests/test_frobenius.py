@@ -31,7 +31,13 @@ from fclosure.ideals import (
 )
 from fclosure.polyring import BlockOrder, PolyRing
 from fclosure.sequences import limit_ideal
-from fclosure.workbench import SurveyConfig, builtin_ring, sample_parameter_ideals, survey_uniform_q
+from fclosure.workbench import (
+    SurveyConfig,
+    builtin_ring,
+    load_ring,
+    sample_parameter_ideals,
+    survey_uniform_q,
+)
 
 from helpers import closure_chain_oracle, kernel_preimage_oracle, monomials_up_to, random_ideal
 
@@ -659,3 +665,36 @@ def test_certificate_needs_a_homogeneous_full_sop_of_a_hypersurface():
     F = builtin_ring("FERMAT3", p=2)
     res = frobenius_closure(F.preimage([F.ring.var("y"), F.ring.var("z")]), F, e_max=0)
     assert not res.stabilized and not res.certified_upper and res.examined_e == 0
+
+
+def test_wide_preimage_at_p11_matches_the_kernel_oracle():
+    # (x, y)^[121] + J on FERMAT3 at p = 11: its preimage steps are weighted
+    # eliminations on six variables with the binomials x_i - t_i^11, whose
+    # chain-criterion cuts once took more than 200000 popped pairs
+    F = builtin_ring("FERMAT3", p=11)
+    x, y, z = (F.ring.var(v) for v in "xyz")
+    stage = _stage(F.preimage([x, y]), F, 2)
+    found = frobenius_preimage(stage, 2)
+    assert ideal_equal(found, F.preimage([x, y, z**2]))
+    assert str(found) == "z^2; x; y"
+    assert ideal_equal(found, kernel_preimage_oracle(stage, 2, 3))
+
+
+def test_closure_on_a_ring_that_is_not_a_complete_intersection(tmp_path):
+    # FERMATPLANE, a cubic cone in x, y, z meeting the (u, v) plane at the
+    # origin: no hypersurface, so the chain runs the lookahead window, and
+    # its preimage steps are weighted eliminations on ten variables
+    path = tmp_path / "fermatplane.ring"
+    path.write_text(
+        "char 5\nvars x y z u v\nrel x^3 + y^3 + z^3\n"
+        "rel x*u\nrel x*v\nrel y*u\nrel y*v\nrel z*u\nrel z*v\n",
+        encoding="utf-8",
+    )
+    R = load_ring(str(path))
+    a = R.preimage([R.ring.parse("y + u"), R.ring.parse("z + v")])
+    res = frobenius_closure(a, R, e_max=3)
+    assert res.stabilized and not res.certified_upper
+    assert res.e_star == 1 and res.examined_e == 3
+    expected = "x^2; x*u; u^2; x*v; u*v; v^2; y + u; z + v"
+    assert ideal_equal(res.closure, R.preimage([R.ring.parse(t) for t in expected.split(";")]))
+    assert str(res.closure) == expected

@@ -2,6 +2,7 @@
 saturation, dimension, radical membership."""
 
 import random
+from itertools import combinations
 
 import pytest
 import sympy
@@ -173,31 +174,47 @@ def test_interreduce_reduces_each_kept_element_once(monkeypatch):
 
 
 def test_groebner_matches_sympy_oracle():
-    # reduced grevlex bases agree with sympy's, an independent implementation
-    names = ["x", "y", "z"]
-    syms = sympy.symbols(names)
-    rng = random.Random(20261018)
+    # reduced bases agree with sympy's, an independent implementation, under
+    # grevlex and lex on 3 and on 5 variables; on 5 variables leading
+    # monomials share several variables and have supports of 4 bits, so the
+    # pair lcms taken from the shared variables are checked there too
     cases = 0
-    for p in (2, 3, 5, 7):
-        ring = PolyRing(p, names)
-        for i in range(15):
-            # alternate homogeneous ideals (never the unit ideal) with affine ones
-            gens = [
-                random_nonzero_poly(rng, ring, max_degree=3, max_terms=3, homogeneous=i % 2 == 0)
-                for _ in range(3)
-            ]
-            I = Ideal(ring, gens)
-            exprs = [
-                sum(c * sympy.prod(s**k for s, k in zip(syms, e)) for e, c in g._terms.items())
-                for g in I.gens
-            ]
-            theirs = sympy.groebner(exprs, *syms, modulus=p, order="grevlex")
-            expected = {
-                frozenset((e, int(c) % p) for e, c in g.terms()) for g in theirs.polys
-            }
-            assert {frozenset(g._terms.items()) for g in groebner_basis(I)} == expected
-            cases += 1
-    assert cases == 60
+    widest = shared = 0
+    for order, names, per_p in [
+        ("grevlex", ["x", "y", "z"], 15),
+        ("lex", ["x", "y", "z"], 8),
+        ("grevlex", ["x", "y", "z", "u", "v"], 8),
+        ("lex", ["x", "y", "z", "u", "v"], 8),
+    ]:
+        syms = sympy.symbols(names)
+        rng = random.Random(20261018)
+        for p in (2, 3, 5, 7):
+            ring = PolyRing(p, names, order=order)
+            for i in range(per_p):
+                # alternate homogeneous ideals (never the unit ideal) with affine ones
+                gens = [
+                    random_nonzero_poly(
+                        rng, ring, max_degree=3, max_terms=3, homogeneous=i % 2 == 0
+                    )
+                    for _ in range(3)
+                ]
+                I = Ideal(ring, gens)
+                exprs = [
+                    sum(c * sympy.prod(s**k for s, k in zip(syms, e)) for e, c in g._terms.items())
+                    for g in I.gens
+                ]
+                theirs = sympy.groebner(exprs, *syms, modulus=p, order=order)
+                expected = {
+                    frozenset((e, int(c) % p) for e, c in g.terms()) for g in theirs.polys
+                }
+                basis = groebner_basis(I)
+                assert {frozenset(g._terms.items()) for g in basis} == expected
+                supports = [{v for v, a in enumerate(g.leading_monomial()) if a} for g in basis]
+                widest = max(widest, *map(len, supports))
+                shared = max([shared, *(len(a & b) for a, b in combinations(supports, 2))])
+                cases += 1
+    assert cases == 60 + 32 * 3
+    assert widest >= 4 and shared >= 2
 
 
 def test_reduced_basis_is_canonical(R5):

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import fclosure.ideals as ideals
 import fclosure.polyring as polyring
 from fclosure.cli import _run, main
 from fclosure.config import EngineConfig
@@ -526,6 +527,25 @@ def test_survey_report_identical_across_hash_seeds():
     digest = "423ffb9f307ff262a132c77c5d32f20903f5f3c29c69a848f501c57a70afed93"
     out = _stdout_across_hash_seeds(args, 0, digest)
     assert json.loads(out)["aggregate"]["certified"] == 12
+
+
+# S-polynomials formed by the 12-sample survey above, measured when pair
+# bookkeeping moved to leading-monomial supports and each preimage step
+# came to treat its copies of the reduced basis as one settled run (1845
+# before; the masks alone do not change the count)
+SURVEY_SPOLYS = 1753
+
+
+def test_survey_s_polynomials_stay_within_the_gate(monkeypatch):
+    # a deterministic work counter, not a time
+    calls = []
+    spoly = ideals._spoly
+    monkeypatch.setattr(ideals, "_spoly", lambda *a: calls.append(1) or spoly(*a))
+    cfg = SurveyConfig(sample_count=12, seed=20260810, lengths=(1, 2))
+    report = survey_uniform_q(builtin_ring("TWOPLANES"), cfg)
+    digest = "423ffb9f307ff262a132c77c5d32f20903f5f3c29c69a848f501c57a70afed93"
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+    assert 0 < len(calls) <= SURVEY_SPOLYS
 
 
 def _stdout_across_hash_seeds(args, exit_code, digest):
